@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import SweepTable, pairwise_preservation, plugin_classifier_train, sweep_r
+from .evaluate import SweepTable, pairwise_preservation, plugin_classifier_train, sweep_r, sweep_violations
 from .gaussian import (
     GaussianParams,
     LabeledDataset,
@@ -37,6 +37,7 @@ from .gaussian import (
 )
 from .linalg import generalized_eig, orthonormalize_rows, principal_angles
 from .projections import (
+    _ranked,
     equal_mean_order_check,
     lol_projection,
     mean_first_projection,
@@ -44,7 +45,7 @@ from .projections import (
     whitened_component_projection,
 )
 from .refine import AscentOptions, finite_difference_gradient, gradient_ascent, kld_gradient
-from .synth import ChannelSpec, SpdSpec, embed_channel, random_class_params, random_spd, rng_from_seed, sample
+from .synth import ChannelSpec, SpdSpec, embed_channel, random_class_params, random_spd, rng_from_seed, sample, sub_seeds
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,6 @@ class CheckResult:
     passed: bool
     detail: str
     elapsed_s: float
-
-
-def _seeds(master: int, n: int) -> list[int]:
-    state = np.random.SeedSequence(master).generate_state(n, dtype=np.uint64)
-    return [int(s) for s in state]
 
 
 def _result(name: str, start: float, passed, detail: str) -> CheckResult:
@@ -81,10 +77,10 @@ def _result(name: str, start: float, passed, detail: str) -> CheckResult:
 _REGIME_TARGETS = {"mean_heavy": 6.0, "cov_heavy": 0.03}
 
 
-def _rescale_means(p1: GaussianParams, p2: GaussianParams,
-                   target_ratio: float) -> tuple[GaussianParams, GaussianParams]:
-    """Scale both means by the exact factor that sets D_mu / D_sigma."""
-    split = kld_split(p1, p2)
+def _rescale_means(p1: GaussianParams, p2: GaussianParams, target_ratio: float,
+                   split=None) -> tuple[GaussianParams, GaussianParams]:
+    """Scale both means by the factor that sets D_mu / D_sigma of ``split`` (default: the pair's)."""
+    split = kld_split(p1, p2) if split is None else split
     c = math.sqrt(target_ratio / (split.d_mu / split.d_sigma))
     return (
         GaussianParams(c * p1.mean, p1.covariance),
@@ -101,15 +97,12 @@ def _channel_instance(regime: str) -> tuple[GaussianParams, GaussianParams]:
     rescaling moves D_mu and nothing else.
     """
     target = _REGIME_TARGETS[regime]
-    ss = _seeds(2, 4)
+    ss = sub_seeds(2, 4)
     sig1 = random_class_params(10, 0.1, 10.0, 1.0, ss[0])
     sig2 = random_class_params(10, 0.1, 10.0, 1.0, ss[1])
     chan = ChannelSpec(t=10, d=100, noise_var=1.0, seed=ss[2])
     x1, x2, _ = embed_channel(sig1, sig2, chan)
-    split = kld_split(x1, x2)
-    c = math.sqrt(target / (split.d_mu / split.d_sigma))
-    sig1 = GaussianParams(c * sig1.mean, sig1.covariance)
-    sig2 = GaussianParams(c * sig2.mean, sig2.covariance)
+    sig1, sig2 = _rescale_means(sig1, sig2, target, kld_split(x1, x2))
     x1, x2, _ = embed_channel(sig1, sig2, chan)
     return x1, x2
 
@@ -124,7 +117,7 @@ def _classification_instance(
     direction poorly aligned with the divergence-optimal one, which is what
     separates the baseline from the divergence-aware fits.
     """
-    ss = _seeds(1, 8)
+    ss = sub_seeds(1, 8)
     p1 = random_class_params(6, 0.05, 20.0, 1.0, ss[0])
     p2 = random_class_params(6, 0.05, 20.0, 1.0, ss[1])
     p1, p2 = _rescale_means(p1, p2, _REGIME_TARGETS[regime])
@@ -147,7 +140,7 @@ def _classification_instance(
 def equal_covariance_full_recovery() -> CheckResult:
     """One mean-first direction is exact when the covariances coincide."""
     start = time.perf_counter()
-    seeds = _seeds(101, 300)
+    seeds = sub_seeds(101, 300)
     worst = 0.0
     for i in range(100):
         cov = random_spd(SpdSpec(dim=20, eig_min=0.1, eig_max=10.0, seed=seeds[3 * i]))
@@ -168,7 +161,7 @@ def equal_covariance_full_recovery() -> CheckResult:
 def component_score_additivity() -> CheckResult:
     """The d whitened component divergences sum to the full divergence."""
     start = time.perf_counter()
-    seeds = _seeds(102, 201)
+    seeds = sub_seeds(102, 201)
     dims = rng_from_seed(seeds[200]).integers(2, 51, size=100)
     worst = 0.0
     for i in range(100):
@@ -189,7 +182,7 @@ def component_score_additivity() -> CheckResult:
 def equal_means_subspace_agreement() -> CheckResult:
     """With equal means the whitened fit spans the top-g pencil directions."""
     start = time.perf_counter()
-    seeds = _seeds(103, 150)
+    seeds = sub_seeds(103, 150)
     worst = 0.0
     for i in range(50):
         mean = rng_from_seed(seeds[3 * i]).standard_normal(20)
@@ -197,10 +190,7 @@ def equal_means_subspace_agreement() -> CheckResult:
         c2 = random_spd(SpdSpec(dim=20, eig_min=0.1, eig_max=10.0, seed=seeds[3 * i + 2]))
         p1, p2 = GaussianParams(mean, c1), GaussianParams(mean, c2)
         pencil = generalized_eig(c2, c1)
-        scores = g_score(pencil.eigenvalues)
-        order = np.lexsort(
-            (np.arange(scores.size), -np.abs(pencil.eigenvalues - 1.0), -scores)
-        )
+        order = _ranked(g_score(pencil.eigenvalues), pencil.eigenvalues)
         for r in (1, 3, 5):
             res = whitened_component_projection(p1, p2, r)
             reference = orthonormalize_rows(pencil.eigenvectors[:, order[:r]].T)
@@ -223,7 +213,7 @@ def divergence_order_invariance() -> CheckResult:
     agreement is a property of the ordering, not of the comparison.
     """
     start = time.perf_counter()
-    seeds = _seeds(104, 150)
+    seeds = sub_seeds(104, 150)
     worst = 0.0
     for i in range(50):
         c1 = random_spd(SpdSpec(dim=20, eig_min=0.1, eig_max=10.0, seed=seeds[3 * i]))
@@ -250,7 +240,7 @@ def divergence_order_invariance() -> CheckResult:
 def multiclass_pairwise_preservation() -> CheckResult:
     """K-1 common-covariance directions preserve every pairwise divergence."""
     start = time.perf_counter()
-    seeds = _seeds(105, 120)
+    seeds = sub_seeds(105, 120)
     worst_ratio = 0.0
     worst_angle = 0.0
     for i in range(20):
@@ -288,21 +278,12 @@ def _sweep_violations(table: SweepTable, d: int) -> tuple[float, float, float]:
     monotonicity scan: each refined value is anchored to its own closed-form
     start, not to the refined value at the previous rank.
     """
-    drop = 0.0
-    excess = 0.0
-    by_method: dict[str, list[tuple[int, float]]] = {}
-    for method, r, value in table.rows:
-        excess = max(excess, value - table.full_kld)
-        if not method.endswith("_refined"):
-            by_method.setdefault(method, []).append((r, value))
-    end_errs = []
-    for method, points in by_method.items():
-        points.sort()
-        for (_, lo), (_, hi) in zip(points, points[1:]):
-            drop = max(drop, lo - hi)
-        if method != "lda" and points[-1][0] == d:
-            end_errs.append(abs(points[-1][1] - table.full_kld) / table.full_kld)
-    return drop, excess, max(end_errs) if end_errs else math.inf
+    excesses, drops = sweep_violations(table.rows, table.full_kld)
+    end_errs = [abs(value - table.full_kld) / table.full_kld for method, r, value in table.rows
+                if r == d and method != "lda" and not method.endswith("_refined")]
+    drop = max([0.0] + [size for size, _ in drops])
+    excess = max([0.0] + [size for size, _ in excesses])
+    return drop, excess, max(end_errs, default=math.inf)
 
 
 def sweep_bounds_and_monotonicity() -> CheckResult:
@@ -316,25 +297,25 @@ def sweep_bounds_and_monotonicity() -> CheckResult:
     start = time.perf_counter()
     sweeps: list[tuple[int, SweepTable]] = []
 
-    seeds = _seeds(106, 3)
+    seeds = sub_seeds(106, 3)
     cov = random_spd(SpdSpec(dim=20, eig_min=0.1, eig_max=10.0, seed=seeds[0]))
     p1 = GaussianParams(rng_from_seed(seeds[1]).standard_normal(20), cov)
     p2 = GaussianParams(rng_from_seed(seeds[2]).standard_normal(20), cov)
     sweeps.append((20, sweep_r(p1, p2, ["alg1", "alg2", "lda", "lol"], [1, 2, 5, 10, 20])))
 
-    seeds = _seeds(116, 2)
+    seeds = sub_seeds(116, 2)
     p1 = random_class_params(17, 0.1, 10.0, 1.0, seeds[0])
     p2 = random_class_params(17, 0.1, 10.0, 1.0, seeds[1])
     sweeps.append((17, sweep_r(p1, p2, ["alg1", "alg2", "lda", "lol"], [1, 3, 8, 17])))
 
-    seeds = _seeds(126, 3)
+    seeds = sub_seeds(126, 3)
     mean = rng_from_seed(seeds[0]).standard_normal(20)
     c1 = random_spd(SpdSpec(dim=20, eig_min=0.1, eig_max=10.0, seed=seeds[1]))
     c2 = random_spd(SpdSpec(dim=20, eig_min=0.1, eig_max=10.0, seed=seeds[2]))
     equal_mean_pair = (GaussianParams(mean, c1), GaussianParams(mean, c2))
     sweeps.append((20, sweep_r(*equal_mean_pair, ["alg1", "alg2", "lol"], [1, 3, 5, 20])))
 
-    seeds = _seeds(136, 2)
+    seeds = sub_seeds(136, 2)
     c1 = random_spd(SpdSpec(dim=20, eig_min=0.1, eig_max=10.0, seed=seeds[0]))
     bump = rng_from_seed(seeds[1]).standard_normal((20, 20))
     ordered_pair = (
@@ -343,7 +324,7 @@ def sweep_bounds_and_monotonicity() -> CheckResult:
     )
     sweeps.append((20, sweep_r(*ordered_pair, ["alg1", "alg2", "lol"], [1, 3, 5, 20])))
 
-    seeds = _seeds(146, 4)
+    seeds = sub_seeds(146, 4)
     sigma = random_spd(SpdSpec(dim=10, eig_min=0.1, eig_max=10.0, seed=seeds[0]))
     k_means = [rng_from_seed(seeds[1 + k]).standard_normal(10) for k in range(3)]
     common_pair = (GaussianParams(k_means[0], sigma), GaussianParams(k_means[1], sigma))
@@ -390,7 +371,7 @@ def sweep_bounds_and_monotonicity() -> CheckResult:
 def gradient_finite_difference_agreement() -> CheckResult:
     """The assembled gradient matches central finite differences."""
     start = time.perf_counter()
-    seeds = _seeds(107, 41)
+    seeds = sub_seeds(107, 41)
     rng = rng_from_seed(seeds[40])
     worst = 0.0
     for i in range(20):
@@ -509,7 +490,7 @@ def classification_ordering_vs_baseline() -> CheckResult:
 def chernoff_kld_ratio_equal_covariance() -> CheckResult:
     """With equal covariances the Chernoff information is a quarter of the KLD."""
     start = time.perf_counter()
-    seeds = _seeds(110, 150)
+    seeds = sub_seeds(110, 150)
     worst = 0.0
     for i in range(50):
         cov = random_spd(SpdSpec(dim=15, eig_min=0.1, eig_max=10.0, seed=seeds[3 * i]))

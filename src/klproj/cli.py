@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +35,12 @@ from .gaussian import (
     kld_projected,
     pooled_covariance,
 )
-from .linalg import orthonormalize_rows, spd_inv_sqrt
+from .linalg import orthonormalize_rows
 from .projections import (
     FRAME_ORIGINAL,
     FRAME_WHITENED,
     ProjectionResult,
+    _ClassPair,
     fit_auto,
     lda_direction,
     lol_projection,
@@ -49,15 +51,10 @@ from .projections import (
 )
 from .refine import AscentOptions, gradient_ascent
 from .evaluate import density_grid, pairwise_preservation, plugin_classifier_train, sweep_r
-from .synth import ChannelSpec, embed_channel, random_class_params, sample
+from .synth import ChannelSpec, embed_channel, random_class_params, sample, sub_seeds
 from . import fileio
 
 _TWO_CLASS_METHODS = ("auto", "alg1", "alg2", "lda", "lol")
-
-
-def _sub_seeds(seed: int, n: int) -> list[int]:
-    state = np.random.SeedSequence(int(seed)).generate_state(n, dtype=np.uint64)
-    return [int(s) for s in state]
 
 
 def _print_wrote(path: Path) -> None:
@@ -72,20 +69,20 @@ def _write_json(path: Path, record: dict) -> None:
 def _write_csv(path: Path, header: list, rows, config: dict) -> None:
     fileio.write_csv(path, header, rows)
     _print_wrote(path)
-    sidecar = path.with_suffix(".config.json")
-    fileio.write_json(sidecar, {"kind": "config", "config": config})
-    _print_wrote(sidecar)
+    _write_json(path.with_suffix(".config.json"), {"kind": "config", "config": config})
+
+
+def _config(args) -> dict:
+    """The config block of a command: its arguments minus outputs and handler."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out", "out_dir")}
+    config["version"] = __version__
+    if "params" in config:
+        config["params"] = list(args.params or [])
+    return config
 
 
 def _regime_dict(p1: GaussianParams, p2: GaussianParams, r: int) -> dict:
-    report = select_regime(p1, p2, r)
-    return {
-        "d_mu": report.d_mu,
-        "d_sigma": report.d_sigma,
-        "r": report.r,
-        "threshold": report.threshold,
-        "recommendation": report.recommendation,
-    }
+    return asdict(select_regime(p1, p2, r))
 
 
 # ---------------------------------------------------------------------------
@@ -96,25 +93,12 @@ def _regime_dict(p1: GaussianParams, p2: GaussianParams, r: int) -> dict:
 def cmd_gen(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = {
-        "command": "gen",
-        "version": __version__,
-        "seed": args.seed,
-        "d": args.d,
-        "t": args.t,
-        "noise_var": args.noise_var,
-        "classes": args.classes,
-        "n": args.n,
-        "n_test": args.n_test,
-        "eig_min": args.eig_min,
-        "eig_max": args.eig_max,
-        "mean_scale": args.mean_scale,
-    }
+    config = _config(args)
 
     if args.t is not None:
         if args.classes != 2:
             raise ValueError("channel generation is two-class; drop --classes or use 2")
-        seeds = _sub_seeds(args.seed, 7)
+        seeds = sub_seeds(args.seed, 7)
         config["sub_seeds"] = {
             "signal_params": seeds[0:2],
             "channel": seeds[2],
@@ -142,7 +126,7 @@ def cmd_gen(args) -> int:
         )
     else:
         k = args.classes
-        seeds = _sub_seeds(args.seed, 3 * k)
+        seeds = sub_seeds(args.seed, 3 * k)
         config["sub_seeds"] = {
             "class_params": seeds[0:k],
             "train": seeds[k : 2 * k],
@@ -168,11 +152,7 @@ def cmd_gen(args) -> int:
         data = LabeledDataset(np.vstack(blocks), labels)
         fileio.dataset_to_csv(out / name, data)
         _print_wrote(out / name)
-        fileio.write_json(
-            (out / name).with_suffix(".config.json"),
-            {"kind": "config", "config": config},
-        )
-        _print_wrote((out / name).with_suffix(".config.json"))
+        _write_json((out / name).with_suffix(".config.json"), {"kind": "config", "config": config})
     return 0
 
 
@@ -224,19 +204,7 @@ def cmd_fit(args) -> int:
     plist, pooled = _load_classes(args)
     if args.swap:
         plist = plist[::-1]
-    config = {
-        "command": "fit",
-        "version": __version__,
-        "params": list(args.params or []),
-        "dataset": args.dataset,
-        "ridge": args.ridge,
-        "r": args.r,
-        "method": args.method,
-        "mode": args.mode,
-        "refine": args.refine,
-        "max_iters": args.max_iters,
-        "swap": args.swap,
-    }
+    config = _config(args)
     extras: dict = {}
 
     if args.method == "mclda":
@@ -258,9 +226,14 @@ def cmd_fit(args) -> int:
             opts = AscentOptions() if args.max_iters is None else AscentOptions(
                 max_iters=args.max_iters
             )
-            trace = gradient_ascent(result.in_original_frame(), p1, p2, opts)
+            start = result.in_original_frame()
+            trace = gradient_ascent(start, p1, p2, opts)
             refined_matrix = orthonormalize_rows(trace.final_matrix)
             refined_kld = kld_projected(refined_matrix, p1, p2)
+            if refined_kld < result.achieved_kld:
+                # rounding in the re-orthonormalized best iterate must not
+                # report a refinement that lost ground: keep the start
+                refined_matrix, refined_kld = start, result.achieved_kld
             extras["refinement"] = {
                 "initial_kld": result.achieved_kld,
                 "refined_kld": refined_kld,
@@ -287,11 +260,10 @@ def cmd_fit(args) -> int:
 
 def _whitened_view(p1: GaussianParams, p2: GaussianParams) -> tuple[GaussianParams, GaussianParams]:
     """The class pair mapped by x -> S (x - mu1) with S the class-1 whitener."""
-    s = spd_inv_sqrt(p1.covariance)
-    cov2 = s @ p2.covariance @ s
+    pair = _ClassPair(p1, p2)
     return (
         GaussianParams(np.zeros(p1.dim), np.eye(p1.dim)),
-        GaussianParams(s @ (p2.mean - p1.mean), (cov2 + cov2.T) / 2.0),
+        GaussianParams(pair.whitened_mean, pair.whitened),
     )
 
 
@@ -310,23 +282,7 @@ def cmd_eval(args) -> int:
     if len(plist) != 2:
         raise ValueError(f"evaluation compares exactly 2 classes, got {len(plist)}")
     p1, p2 = plist
-    config = {
-        "command": "eval",
-        "version": __version__,
-        "projection": list(args.projection),
-        "params": list(args.params or []),
-        "dataset": args.dataset,
-        "ridge": args.ridge,
-        "sweep_r": args.sweep_r,
-        "methods": args.methods,
-        "refine": args.refine,
-        "classify": args.classify,
-        "train": args.train,
-        "test": args.test,
-        "density_grid": args.density_grid,
-        "resolution": args.resolution,
-        "scatter": args.scatter,
-    }
+    config = _config(args)
 
     if args.sweep_r:
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -415,15 +371,7 @@ def cmd_regime(args) -> int:
         plist = plist[::-1]
     if len(plist) != 2:
         raise ValueError(f"regime analysis compares exactly 2 classes, got {len(plist)}")
-    config = {
-        "command": "regime",
-        "version": __version__,
-        "params": list(args.params or []),
-        "dataset": args.dataset,
-        "ridge": args.ridge,
-        "r": args.r,
-        "swap": args.swap,
-    }
+    config = _config(args)
     record = {"kind": "regime", **_regime_dict(plist[0], plist[1], args.r), "config": config}
     if args.out:
         _write_json(Path(args.out), record)

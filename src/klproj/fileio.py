@@ -121,6 +121,8 @@ def write_csv(path, header: list, rows) -> None:
 def read_csv(path) -> tuple[list, list]:
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line.rstrip("\n") for line in handle if line.strip()]
+    if not lines:
+        raise DimensionMismatch(f"{path}: empty CSV file, expected a header line")
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
 
@@ -128,6 +130,14 @@ def read_csv(path) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 # record schemas
 # ---------------------------------------------------------------------------
+
+
+def _check_record(record: dict, kind: str, keys: tuple) -> None:
+    if record.get("kind") != kind:
+        raise DimensionMismatch(f"expected a {kind} record, got kind={record.get('kind')!r}")
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise DimensionMismatch(f"{kind} record lacks required keys: {', '.join(missing)}")
 
 
 def params_to_dict(p: GaussianParams, config: dict | None = None) -> dict:
@@ -143,8 +153,7 @@ def params_to_dict(p: GaussianParams, config: dict | None = None) -> dict:
 
 
 def params_from_dict(record: dict) -> GaussianParams:
-    if record.get("kind") != "gaussian_params":
-        raise DimensionMismatch(f"expected a gaussian_params record, got kind={record.get('kind')!r}")
+    _check_record(record, "gaussian_params", ("mean", "covariance"))
     return GaussianParams(np.array(record["mean"], dtype=float),
                           np.array(record["covariance"], dtype=float))
 
@@ -172,8 +181,7 @@ def projection_to_dict(result: ProjectionResult, config: dict | None = None, **e
 
 
 def projection_from_dict(record: dict) -> ProjectionResult:
-    if record.get("kind") != "projection":
-        raise DimensionMismatch(f"expected a projection record, got kind={record.get('kind')!r}")
+    _check_record(record, "projection", ("matrix", "frame", "method", "achieved_kld"))
     scores = record.get("component_scores")
     original = record.get("matrix_original")
     return ProjectionResult(

@@ -46,8 +46,9 @@ class GaussianParams:
 
     Validation happens at construction: the mean must be finite, the
     covariance square with matching dimension, symmetric up to a relative
-    1e-8 (it is stored symmetrized), and positive definite per the shared
-    eigenvalue check.
+    1e-8 (it is stored symmetrized), and positive definite per
+    linalg.assert_spd, which computes eigenvalues only.  No factorization is
+    stored: a class pair is factored where it is used (projections._ClassPair).
     """
 
     mean: np.ndarray

@@ -1,13 +1,16 @@
 """Dense symmetric linear algebra kernels.
 
 Everything downstream (divergence evaluation, projection construction,
-refinement) is built on the five operations here: symmetric eigendecomposition
-with a deterministic ordering, SPD inverse square root, symmetric-definite
-generalized eigendecomposition, row orthonormalization, and principal angles
-between row spaces.  All routines work in float64 and validate their inputs.
+refinement) is built on the operations here: symmetric eigendecomposition
+with a deterministic ordering, SPD validation (eigenvalues only), SPD inverse
+square root, whitening of a symmetric-definite pencil (the code a class pair
+in ``projections`` is factored with, once) and its generalized eigenvectors,
+row orthonormalization, and principal angles between row spaces.  All
+routines work in float64 and validate their inputs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -88,6 +91,14 @@ def sym_eig(m) -> SymEigen:
     return SymEigen(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
+def _reject_unless_spd(lo: float, hi: float, name: str) -> None:
+    if lo <= SPD_RTOL * max(1.0, hi):
+        raise NotPositiveDefinite(
+            f"{name} is not positive definite: smallest eigenvalue {lo:.6e} "
+            f"(largest {hi:.6e})"
+        )
+
+
 def spd_eigenvalues(m, name: str = "matrix") -> SymEigen:
     """Eigendecomposition of ``m`` after checking it is SPD.
 
@@ -96,18 +107,17 @@ def spd_eigenvalues(m, name: str = "matrix") -> SymEigen:
     offending eigenvalue.
     """
     e = sym_eig(_as_square(m, name))
-    lo, hi = e.eigenvalues[-1], e.eigenvalues[0]
-    if lo <= SPD_RTOL * max(1.0, hi):
-        raise NotPositiveDefinite(
-            f"{name} is not positive definite: smallest eigenvalue {lo:.6e} "
-            f"(largest {hi:.6e})"
-        )
+    _reject_unless_spd(e.eigenvalues[-1], e.eigenvalues[0], name)
     return e
 
 
 def assert_spd(m, name: str = "matrix") -> None:
-    """Raise NotPositiveDefinite unless ``m`` is SPD per spd_eigenvalues."""
-    spd_eigenvalues(m, name)
+    """Raise NotPositiveDefinite unless ``m`` is SPD per the spd_eigenvalues rule.
+
+    Checks eigenvalues only: no eigenvectors are formed or kept.
+    """
+    w = np.linalg.eigvalsh(_symmetrized(_as_square(m, name)))
+    _reject_unless_spd(w[0], w[-1], name)
 
 
 def spd_inv_sqrt(m) -> np.ndarray:
@@ -139,24 +149,43 @@ class GenEigen:
     eigenvectors: np.ndarray
 
 
+class WhitenedPencil:
+    """The SPD pencil (B, C) whitened once by S = C^{-1/2} (spd_inv_sqrt).
+
+    ``whitened`` is S B S, exactly symmetric.  Its eigendecomposition
+    ``eig`` (U, lambda) and the pencil's unit generalized eigenvectors, the
+    normalized columns of S U (``pencil``), are computed on first use.
+    """
+
+    def __init__(self, b, c):
+        self.whitener = spd_inv_sqrt(c)
+        self.whitened = _symmetrized(self.whitener @ b @ self.whitener)
+
+    @cached_property
+    def eig(self) -> SymEigen:
+        return sym_eig(self.whitened)
+
+    @cached_property
+    def pencil(self) -> GenEigen:
+        vecs = self.whitener @ self.eig.eigenvectors
+        return GenEigen(eigenvalues=self.eig.eigenvalues,
+                        eigenvectors=vecs / np.linalg.norm(vecs, axis=0))
+
+
 def generalized_eig(b, c) -> GenEigen:
     """Generalized eigendecomposition of the SPD pencil (B, C).
 
-    Solved by whitening: with S = C^{-1/2}, the symmetric problem
-    S B S u = lambda u is factored and v = S u is renormalized to unit
-    length.  Eigenvalues of (B, C) and (C, B) are reciprocal with collinear
-    eigenvectors.
+    Solved by whitening (WhitenedPencil): with S = C^{-1/2}, the symmetric
+    problem S B S u = lambda u is factored and v = S u is renormalized to
+    unit length.  Eigenvalues of (B, C) and (C, B) are reciprocal with
+    collinear eigenvectors.
     """
     b = _as_square(b, "B")
     c = _as_square(c, "C")
     if b.shape != c.shape:
         raise DimensionMismatch(f"B and C must agree in shape, got {b.shape} and {c.shape}")
     assert_spd(b, "B")
-    s = spd_inv_sqrt(c)
-    inner = sym_eig(s @ b @ s)
-    vecs = s @ inner.eigenvectors
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
-    return GenEigen(eigenvalues=inner.eigenvalues, eigenvectors=vecs)
+    return WhitenedPencil(b, c).pencil
 
 
 # ---------------------------------------------------------------------------

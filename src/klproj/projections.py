@@ -40,6 +40,7 @@ from .errors import (
 )
 from .gaussian import (
     GaussianParams,
+    _check_same_dim,
     _cholesky,
     component_kld,
     g_score,
@@ -158,6 +159,22 @@ def _basis_with_first_row(v: np.ndarray) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(u, u) / nu**2
 
 
+class _ClassPair(linalg.WhitenedPencil):
+    """A class pair factored once: the pencil (S2, S1) whitened by S = S1^-1/2.
+
+    ``whitened`` is S S2 S and ``whitened_mean`` S (m2 - m1).  alg2 reads
+    the one eigendecomposition U, lambda of S S2 S (``eig``); alg1's pencil
+    vectors, the normalized columns of S U (``pencil``), are formed only
+    when alg1 runs.  A pair lives only as long as the call that built it.
+    """
+
+    def __init__(self, p1: GaussianParams, p2: GaussianParams):
+        _check_same_dim(p1, p2)
+        super().__init__(p2.covariance, p1.covariance)
+        self.p1, self.p2 = p1, p2
+        self.whitened_mean = self.whitener @ (p2.mean - p1.mean)
+
+
 # ---------------------------------------------------------------------------
 # two-class constructions
 # ---------------------------------------------------------------------------
@@ -169,8 +186,7 @@ def lda_direction(p1: GaussianParams, p2: GaussianParams) -> ProjectionResult:
     With equal covariances this single direction retains the full divergence;
     in general it is the classical linear baseline.  Requires distinct means.
     """
-    if p1.dim != p2.dim:
-        raise DimensionMismatch(f"class dimensions differ: {p1.dim} vs {p2.dim}")
+    _check_same_dim(p1, p2)
     if _means_equal(p1, p2):
         raise EqualMeans("class means coincide; the discriminant direction is undefined")
     pooled = (p1.covariance + p2.covariance) / 2.0
@@ -193,12 +209,16 @@ def mean_first_projection(p1: GaussianParams, p2: GaussianParams, r: int) -> Pro
     orthonormalized; a candidate that is numerically dependent on the rows
     already chosen is skipped in favor of the next-ranked one.  When the
     means coincide the discriminant row is dropped (with a warning) and all
-    r rows come from the pencil.  Reported under the method tag "alg1".
+    r rows come from the pencil, read off a _ClassPair factored for this
+    call (fit_auto and sweep_r share theirs).  Reported under the tag "alg1".
     """
-    if p1.dim != p2.dim:
-        raise DimensionMismatch(f"class dimensions differ: {p1.dim} vs {p2.dim}")
+    return _mean_first(_ClassPair(p1, p2), r)
+
+
+def _mean_first(pair: _ClassPair, r: int) -> ProjectionResult:
+    p1, p2 = pair.p1, pair.p2
     r = _check_r(r, p1.dim)
-    pencil = linalg.generalized_eig(p2.covariance, p1.covariance)
+    pencil = pair.pencil
     scores = g_score(pencil.eigenvalues)
     order = _ranked(scores, pencil.eigenvalues)
 
@@ -234,8 +254,9 @@ def whitened_component_projection(p1: GaussianParams, p2: GaussianParams, r: int
     ``matrix`` holds the (orthonormal) whitened-frame rows u_i and
     ``matrix_original`` the equivalent original-frame rows u_i^T S,
     orthonormalized.  ``achieved_kld`` is the sum of the selected scores,
-    which at r = d equals the full divergence.  Reported under the method
-    tag "alg2".
+    which at r = d equals the full divergence.  S, U and lambda come from a
+    _ClassPair factored for this call (fit_auto and sweep_r share theirs).
+    Reported under the method tag "alg2".
 
     When the whitened covariance is the identity (Frobenius distance below
     1e-8 * d) only the mean direction matters: the first row is the whitened
@@ -243,16 +264,14 @@ def whitened_component_projection(p1: GaussianParams, p2: GaussianParams, r: int
     |S (m2 - m1)|^2 / 2.  If that mean offset is below 1e-12 as well, the
     classes are numerically identical and no projection is meaningful.
     """
-    if p1.dim != p2.dim:
-        raise DimensionMismatch(f"class dimensions differ: {p1.dim} vs {p2.dim}")
-    d = p1.dim
-    r = _check_r(r, d)
-    s = linalg.spd_inv_sqrt(p1.covariance)
-    mu_t = s @ (p2.mean - p1.mean)
-    sig_t = s @ p2.covariance @ s
-    sig_t = (sig_t + sig_t.T) / 2.0
+    return _whitened_component(_ClassPair(p1, p2), r)
 
-    if np.linalg.norm(sig_t - np.eye(d)) < 1e-8 * d:
+
+def _whitened_component(pair: _ClassPair, r: int) -> ProjectionResult:
+    d = pair.p1.dim
+    r = _check_r(r, d)
+    mu_t = pair.whitened_mean
+    if np.linalg.norm(pair.whitened - np.eye(d)) < 1e-8 * d:
         offset = float(np.linalg.norm(mu_t))
         if offset < 1e-12:
             raise IdenticalDistributions(
@@ -263,7 +282,7 @@ def whitened_component_projection(p1: GaussianParams, p2: GaussianParams, r: int
         picked = (0.5 * offset**2,) + (0.0,) * (r - 1)
         achieved = 0.5 * offset**2
     else:
-        eig = linalg.sym_eig(sig_t)
+        eig = pair.eig
         m = eig.eigenvectors.T @ mu_t
         scores = component_kld(m, eig.eigenvalues)
         sel = _ranked(scores, eig.eigenvalues)[:r]
@@ -276,7 +295,7 @@ def whitened_component_projection(p1: GaussianParams, p2: GaussianParams, r: int
         method="alg2",
         achieved_kld=achieved,
         component_scores=picked,
-        matrix_original=linalg.orthonormalize_rows(matrix @ s),
+        matrix_original=linalg.orthonormalize_rows(matrix @ pair.whitener),
     )
 
 
@@ -324,15 +343,12 @@ def fit_auto(p1: GaussianParams, p2: GaussianParams, r: int, mode: str = "rule")
     """
     if mode not in ("rule", "compare"):
         raise ValueError(f"mode must be 'rule' or 'compare', got {mode!r}")
-    if mode == "rule":
-        report = select_regime(p1, p2, r)
-        if report.recommendation == "alg1":
-            return mean_first_projection(p1, p2, r)
-        if report.recommendation == "alg2":
-            return whitened_component_projection(p1, p2, r)
-    first = mean_first_projection(p1, p2, r)
-    second = whitened_component_projection(p1, p2, r)
-    return first if first.achieved_kld >= second.achieved_kld else second
+    use = select_regime(p1, p2, r).recommendation if mode == "rule" else "compare_both"
+    pair = _ClassPair(p1, p2)
+    fits = [fit(pair, r) for tag, fit in (("alg1", _mean_first), ("alg2", _whitened_component))
+            if use in (tag, "compare_both")]
+    # max keeps the first of equal values: ties go to alg1
+    return max(fits, key=lambda res: res.achieved_kld)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +385,8 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
     centered = means - means.mean(axis=0)
     s_mu = centered.T @ centered
 
-    s = linalg.spd_inv_sqrt(sigma)
-    eig = linalg.sym_eig(s @ s_mu @ s)
+    whitened = linalg.WhitenedPencil(s_mu, sigma)
+    s, eig = whitened.whitener, whitened.eig
     lam = eig.eigenvalues
     available = int(np.count_nonzero(lam > linalg.RANK_RTOL * max(lam[0], 0.0)))
     if available == 0:
@@ -415,15 +431,13 @@ def lol_projection(
     divergence than the divergence-aware constructions.  Equal means drop
     the first row with a warning.
     """
-    if p1.dim != p2.dim:
-        raise DimensionMismatch(f"class dimensions differ: {p1.dim} vs {p2.dim}")
+    _check_same_dim(p1, p2)
+    pooled = (p1.covariance + p2.covariance) / 2.0 if pooled_cov is None else pooled_cov
+    return _lol(p1, p2, r, linalg.sym_eig(pooled))
+
+
+def _lol(p1: GaussianParams, p2: GaussianParams, r: int, eig: linalg.SymEigen) -> ProjectionResult:
     r = _check_r(r, p1.dim)
-    pooled = (
-        (p1.covariance + p2.covariance) / 2.0
-        if pooled_cov is None
-        else np.asarray(pooled_cov, dtype=float)
-    )
-    eig = linalg.sym_eig(pooled)
     order = np.arange(eig.eigenvalues.size)
 
     warnings: tuple = ()
@@ -458,24 +472,22 @@ def equal_mean_order_check(
     For equal-mean classes the optimal r-dimensional subspace for
     D(q1 || q2) picks the top-r generalized eigendirections of (S2, S1) by
     g_score, and for D(q2 || q1) those of (S1, S2).  The pencils share
-    eigenvectors with reciprocal eigenvalues, so whenever the spectrum sits
-    entirely on one side of 1 (e.g. S2 = S1 + positive semidefinite) the two
-    orders select the same subspace; spectra straddling 1 can genuinely
-    disagree.  Returns (subspace_12, subspace_21, max principal angle), the
-    subspaces as orthonormal rows.
+    eigenvectors with reciprocal eigenvalues (so one factorization of the
+    pair serves both), and whenever the spectrum sits entirely on one side
+    of 1 (e.g. S2 = S1 + positive semidefinite) the two orders select the
+    same subspace; spectra straddling 1 can genuinely disagree.  Returns
+    (subspace_12, subspace_21, max principal angle), subspaces as rows.
     """
-    if p1.dim != p2.dim:
-        raise DimensionMismatch(f"class dimensions differ: {p1.dim} vs {p2.dim}")
-    r = _check_r(r, p1.dim)
+    r = _check_r(r, _check_same_dim(p1, p2))
     if not _means_equal(p1, p2, rtol=EQUAL_MEANS_CHECK_RTOL):
         raise UnequalMeans("order comparison is defined for coinciding class means")
+    pencil = _ClassPair(p1, p2).pencil
 
-    def top_subspace(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        pencil = linalg.generalized_eig(b, c)
-        sel = _ranked(g_score(pencil.eigenvalues), pencil.eigenvalues)[:r]
+    def top_subspace(lam: np.ndarray) -> np.ndarray:
+        sel = _ranked(g_score(lam), lam)[:r]
         return linalg.orthonormalize_rows(pencil.eigenvectors[:, sel].T)
 
-    sub12 = top_subspace(p2.covariance, p1.covariance)
-    sub21 = top_subspace(p1.covariance, p2.covariance)
+    sub12 = top_subspace(pencil.eigenvalues)
+    sub21 = top_subspace(1.0 / pencil.eigenvalues)
     angle = float(np.max(linalg.principal_angles(sub12, sub21)))
     return sub12, sub21, angle

@@ -23,6 +23,12 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(int(seed)))
 
 
+def sub_seeds(seed: int, n: int) -> list[int]:
+    """n independent 64-bit seeds spawned from one master seed."""
+    state = np.random.SeedSequence(int(seed)).generate_state(n, dtype=np.uint64)
+    return [int(s) for s in state]
+
+
 @dataclass(frozen=True)
 class SpdSpec:
     """Recipe for one random SPD matrix: dimension, eigenvalue range, seed."""

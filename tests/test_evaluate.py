@@ -18,7 +18,8 @@ from klproj import (
     sample,
     sweep_r,
 )
-from klproj.errors import DimensionMismatch, InsufficientSamples, NonPositiveInput
+from klproj.errors import DimensionMismatch, InsufficientSamples, NonPositiveInput, NumericalError
+from klproj.evaluate import _validate_sweep, sweep_violations
 
 
 def two_classes(seed, d=5):
@@ -75,6 +76,19 @@ class TestSweepR:
             sweep_r(p1, p2, [], [1])
         with pytest.raises(ValueError):
             sweep_r(p1, p2, ["alg1"], [])
+
+    def test_violations_gate_emission(self):
+        # refined rows answer to data processing only, not to ordering in r
+        rows = [("alg1", 2, 0.5), ("alg1", 1, 1.0), ("alg1_refined", 1, 2.0),
+                ("alg1_refined", 2, 1.5)]
+        excesses, drops = sweep_violations(rows, 1.8)
+        assert [size for size, _ in excesses] == pytest.approx([-1.3, -0.8, 0.2, -0.3])
+        assert [size for size, _ in drops] == pytest.approx([0.5])
+        with pytest.raises(NumericalError, match=r"\(alg1_refined, r=1\) retains"):
+            _validate_sweep(rows, 1.8)
+        with pytest.raises(NumericalError, match="alg1 decreases from r=1"):
+            _validate_sweep(rows, 2.5)
+        _validate_sweep(rows[1:3], 2.5)
 
     def test_metadata_passthrough(self):
         p1, p2 = two_classes(571)

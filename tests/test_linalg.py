@@ -7,6 +7,7 @@ import pytest
 
 from klproj.errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite, RankDeficient
 from klproj.linalg import (
+    SPD_RTOL,
     assert_spd,
     generalized_eig,
     numerical_rank,
@@ -64,6 +65,14 @@ class TestSpdGuards:
     def test_message_names_offender(self):
         with pytest.raises(NotPositiveDefinite, match="covariance"):
             spd_eigenvalues(np.diag([1.0, -2.0]), name="covariance")
+
+    @pytest.mark.parametrize("largest", [0.5, 4.0])
+    def test_boundary_of_the_relative_floor(self, largest):
+        # floor is SPD_RTOL * max(1, largest eigenvalue); at it is rejected
+        floor = SPD_RTOL * max(1.0, largest)
+        assert_spd(np.diag([largest, np.nextafter(floor, 1.0)]))
+        with pytest.raises(NotPositiveDefinite, match="smallest eigenvalue"):
+            assert_spd(np.diag([largest, floor]), name="covariance")
 
     def test_inv_sqrt_identity(self):
         rng = np.random.default_rng(11)

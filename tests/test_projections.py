@@ -7,6 +7,7 @@ import pytest
 
 from klproj import (
     GaussianParams,
+    SpdSpec,
     equal_mean_order_check,
     fit_auto,
     g_score,
@@ -18,10 +19,13 @@ from klproj import (
     multiclass_lda,
     principal_angles,
     random_class_params,
+    random_spd,
     regime_recommendation,
     select_regime,
+    sweep_r,
     whitened_component_projection,
 )
+from klproj.synth import ChannelSpec, embed_channel
 from klproj.errors import (
     DimensionMismatch,
     EqualMeans,
@@ -388,3 +392,73 @@ class TestScoreRanking:
         res = whitened_component_projection(p1, p2, 6)
         scores = np.asarray(res.component_scores)
         assert np.all(np.diff(scores) <= 1e-12)
+
+
+def channel_pair(d=40, t=5, seed=301):
+    sig1 = random_class_params(t, 0.1, 10.0, 1.0, seed)
+    sig2 = random_class_params(t, 0.1, 10.0, 1.0, seed + 1)
+    p1, p2, _ = embed_channel(sig1, sig2, ChannelSpec(t=t, d=d, noise_var=1.0, seed=seed + 2))
+    return p1, p2
+
+
+def proportional_pair(d=30, seed=311):
+    s1 = random_spd(SpdSpec(d, 0.1, 10.0, seed))
+    offset = np.random.default_rng(seed).standard_normal(d)
+    return GaussianParams(np.zeros(d), s1), GaussianParams(offset, 2.0 * s1)
+
+
+def assert_same_result(a, b):
+    assert (a.method, a.frame, a.achieved_kld) == (b.method, b.frame, b.achieved_kld)
+    assert (a.component_scores, a.warnings) == (b.component_scores, b.warnings)
+    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(a.in_original_frame(), b.in_original_frame())
+
+
+class TestPairFactoredOnce:
+    """fit_auto and sweep_r share one factorization and reproduce the standalone fits."""
+
+    @pytest.mark.parametrize("make_pair", [channel_pair, proportional_pair])
+    def test_shared_pair_matches_standalone_exactly(self, make_pair):
+        p1, p2 = make_pair()
+        for r in (1, 2, 5):
+            alg1 = mean_first_projection(p1, p2, r)
+            alg2 = whitened_component_projection(p1, p2, r)
+            best = alg1 if alg1.achieved_kld >= alg2.achieved_kld else alg2
+            assert_same_result(fit_auto(p1, p2, r, mode="compare"), best)
+            rule = select_regime(p1, p2, r).recommendation
+            expect = {"alg1": alg1, "alg2": alg2}.get(rule, best)
+            assert_same_result(fit_auto(p1, p2, r, mode="rule"), expect)
+        table = sweep_r(p1, p2, ["alg1", "alg2", "lol"], range(1, 6))
+        standalone = {
+            "alg1": mean_first_projection,
+            "alg2": whitened_component_projection,
+            "lol": lol_projection,
+        }
+        for method, r, value in table.rows:
+            assert value == standalone[method](p1, p2, r).achieved_kld
+
+    def count_full_eighs(self, monkeypatch, d):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            if np.shape(a)[-1] == d:
+                calls.append(1)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_fit_auto_factors_the_pair_once(self, monkeypatch):
+        p1, p2 = channel_pair()
+        calls = self.count_full_eighs(monkeypatch, p1.dim)
+        fit_auto(p1, p2, 1)
+        # the class-1 whitener and the whitened class-2 covariance
+        assert len(calls) == 2
+
+    def test_sweep_factors_the_pair_once(self, monkeypatch):
+        p1, p2 = channel_pair()
+        calls = self.count_full_eighs(monkeypatch, p1.dim)
+        sweep_r(p1, p2, ["alg1", "alg2", "lol"], range(1, 6))
+        # the pair's two, plus lol's pooled covariance
+        assert len(calls) == 3
