@@ -50,7 +50,7 @@ from .projections import (
     whitened_component_projection,
 )
 from .refine import AscentOptions, gradient_ascent
-from .evaluate import density_grid, pairwise_preservation, plugin_classifier_train, sweep_r
+from .evaluate import MAX_RESOLUTION, density_grid, pairwise_preservation, plugin_classifier_train, sweep_r
 from .synth import ChannelSpec, embed_channel, random_class_params, sample, sub_seeds
 from . import fileio
 
@@ -66,8 +66,8 @@ def _write_json(path: Path, record: dict) -> None:
     _print_wrote(path)
 
 
-def _write_csv(path: Path, header: list, rows, config: dict) -> None:
-    fileio.write_csv(path, header, rows)
+def _write_csv(path: Path, header: list, columns, config: dict) -> None:
+    fileio.write_csv(path, header, columns)
     _print_wrote(path)
     _write_json(path.with_suffix(".config.json"), {"kind": "config", "config": config})
 
@@ -288,7 +288,8 @@ def cmd_eval(args) -> int:
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
         table = sweep_r(p1, p2, methods, _parse_sweep_range(args.sweep_r), refine=args.refine)
         sidecar_cfg = dict(config, full_kld=table.full_kld)
-        _write_csv(out / "sweep.csv", ["method", "r", "kld"], table.rows, sidecar_cfg)
+        columns = list(zip(*table.rows)) or [(), (), ()]  # lda alone at r > 1 has no rows
+        _write_csv(out / "sweep.csv", ["method", "r", "kld"], columns, sidecar_cfg)
 
     if args.classify:
         if not (args.train and args.test):
@@ -325,11 +326,14 @@ def cmd_eval(args) -> int:
                 grid = density_grid(proj.matrix, q1, q2, resolution=args.resolution)
             else:
                 grid = density_grid(proj.matrix, p1, p2, resolution=args.resolution)
-            rows = []
-            for label, values in ((1, grid.values_class1), (2, grid.values_class2)):
-                for i, x in enumerate(grid.x_axis):
-                    for j, y in enumerate(grid.y_axis):
-                        rows.append((x, y, label, values[i, j]))
+            # class outer, x middle, y inner: values[i, j] sits at (x_axis[i], y_axis[j])
+            nx, ny = len(grid.x_axis), len(grid.y_axis)
+            columns = [
+                np.tile(np.repeat(grid.x_axis, ny), 2),
+                np.tile(grid.y_axis, 2 * nx),
+                np.repeat([1, 2], nx * ny),
+                np.concatenate([grid.values_class1.ravel(), grid.values_class2.ravel()]),
+            ]
             name = "density_grid.csv" if len(planar) == 1 else f"density_grid_{index}.csv"
             sidecar_cfg = dict(
                 config,
@@ -338,7 +342,7 @@ def cmd_eval(args) -> int:
                 contour_levels=list(grid.contour_levels()),
                 peaks=[grid.peak_class1, grid.peak_class2],
             )
-            _write_csv(out / name, ["x", "y", "class", "density"], rows, sidecar_cfg)
+            _write_csv(out / name, ["x", "y", "class", "density"], columns, sidecar_cfg)
 
     if args.scatter:
         source = args.test or args.train or args.dataset
@@ -350,12 +354,10 @@ def cmd_eval(args) -> int:
             raise ValueError("--scatter needs a projection with exactly 2 rows")
         for index, (fname, proj) in enumerate(planar, start=1):
             pts = data.samples @ proj.in_original_frame().T
-            rows = [
-                (pts[i, 0], pts[i, 1], int(data.labels[i])) for i in range(pts.shape[0])
-            ]
             name = "scatter.csv" if len(planar) == 1 else f"scatter_{index}.csv"
             sidecar_cfg = dict(config, projection_file=Path(fname).name, source=Path(source).name)
-            _write_csv(out / name, ["x", "y", "class"], rows, sidecar_cfg)
+            _write_csv(out / name, ["x", "y", "class"], [pts[:, 0], pts[:, 1], data.labels],
+                       sidecar_cfg)
 
     return 0
 
@@ -457,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--test", metavar="CSV", help="test dataset for --classify")
     ev.add_argument("--density-grid", action="store_true",
                     help="tabulate both projected class densities on a grid")
-    ev.add_argument("--resolution", type=int, default=200, help="grid resolution per axis")
+    ev.add_argument("--resolution", type=int, default=200,
+                    help=f"grid resolution per axis, 2 to {MAX_RESOLUTION}")
     ev.add_argument("--scatter", action="store_true", help="project dataset samples to 2-D")
     ev.add_argument("--out-dir", required=True, help="output directory")
     ev.set_defaults(func=cmd_eval)

@@ -34,6 +34,10 @@ _DPI_SLACK = 1e-8
 
 _METHOD_TAGS = ("alg1", "alg2", "lda", "lol")
 
+# Largest density grid resolution per axis: the grid holds 2 * resolution**2
+# density values, and the CLI writes each one as a CSV row.
+MAX_RESOLUTION = 1000
+
 
 @dataclass(frozen=True)
 class SweepTable:
@@ -264,6 +268,8 @@ def density_grid(
         raise DimensionMismatch(f"density grids need a 2-row projection, got {a.shape[0]} rows")
     if int(resolution) < 2:
         raise NonPositiveInput(f"resolution must be >= 2, got {resolution}")
+    if int(resolution) > MAX_RESOLUTION:
+        raise DimensionMismatch(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
     if not 0.0 < contour_level_fraction < 1.0:
         raise NonPositiveInput(
             f"contour_level_fraction must be in (0, 1), got {contour_level_fraction}"

@@ -1,96 +1,58 @@
 """Deterministic on-disk formats: JSON for structured records, CSV for tables.
 
-Every float is written with 17 significant digits, which round-trips
-float64 bit-exactly, and every write is atomic (temp file + rename in the
-destination directory).  JSON objects are emitted with sorted keys so the
-same in-memory record always produces the same bytes; rerunning a seeded
-command therefore reproduces its artifacts byte for byte.
+JSON floats take Python's shortest round-trip form and CSV floats take 17
+significant digits; both parse back to the same float64.  Every write is
+atomic (temp file + rename in the destination directory).  JSON objects are
+emitted with sorted keys so the same in-memory record always produces the
+same bytes; rerunning a seeded command therefore reproduces its artifacts
+byte for byte.
 """
 
+import contextlib
 import json
-import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .gaussian import GaussianParams, LabeledDataset
-from .projections import ProjectionResult
+from .projections import FRAME_ORIGINAL, FRAME_WHITENED, ProjectionResult
+
+# CSV cell format per numpy dtype kind; %.17g round-trips float64 bit-exactly.
+_CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
 
 
-def format_float(x: float) -> str:
-    """17-significant-digit decimal form; parses back to the same float64."""
-    x = float(x)
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return "%.17g" % x
-
-
-def _json_chunks(obj, indent: int, out: list) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {type(key)}")
-            out.append(inner + json.dumps(key) + ": ")
-            _json_chunks(obj[key], indent + 1, out)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(seq):
-            out.append(inner)
-            _json_chunks(item, indent + 1, out)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _json_chunks(obj.tolist(), indent, out)
-    else:
-        raise TypeError(f"cannot serialize {type(obj)} to JSON")
+def _plain(obj):
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj)} to JSON")
 
 
 def dumps_json(obj) -> str:
-    out: list[str] = []
-    _json_chunks(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(obj, sort_keys=True, indent=2, default=_plain) + "\n"
 
 
-def atomic_write_text(path, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_handle(path):
+    """A text handle on a temp file that replaces ``path`` once the block succeeds."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    with _atomic_handle(path) as handle:
+        handle.write(text)
 
 
 def write_json(path, obj) -> None:
@@ -102,29 +64,42 @@ def read_json(path):
         return json.load(handle)
 
 
-def _format_cell(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format_float(x)
+def write_csv(path, header: list, columns) -> None:
+    """Write a table given as equal-length columns, one per header name.
+
+    A column's dtype picks its cell format: floats %.17g, integers %d and
+    strings %s.  A table without strings is formatted from a float64 array,
+    so its integer cells must stay below 2**53 in magnitude.
+    """
+    columns = [np.asarray(column) for column in columns]
+    fmt = [_CSV_FORMATS[column.dtype.kind] for column in columns]
+    table = np.empty((len(columns[0]), len(columns)), dtype=object if "%s" in fmt else float)
+    for j, column in enumerate(columns):
+        table[:, j] = column
+    with _atomic_handle(path) as handle:
+        np.savetxt(handle, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
 
 
-def write_csv(path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_csv(path) -> tuple[list, list]:
+def read_csv(path) -> tuple[list, np.ndarray]:
+    """Header names and the n x k float64 table of a numeric CSV."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
-    if not lines:
-        raise DimensionMismatch(f"{path}: empty CSV file, expected a header line")
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+        header = handle.readline().strip()
+        if not header:
+            raise DimensionMismatch(f"{path}: empty CSV file, expected a header line")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # no data rows is reported below
+                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise DimensionMismatch(f"{path}: {exc}") from None
+    header = header.split(",")
+    if table.size == 0:
+        raise DimensionMismatch(f"{path}: no data rows below the header")
+    if table.shape[1] != len(header):
+        raise DimensionMismatch(
+            f"{path}: header names {len(header)} columns, rows have {table.shape[1]}"
+        )
+    return header, table
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +108,8 @@ def read_csv(path) -> tuple[list, list]:
 
 
 def _check_record(record: dict, kind: str, keys: tuple) -> None:
+    if not isinstance(record, dict):
+        raise DimensionMismatch(f"expected a {kind} record, got a JSON {type(record).__name__}")
     if record.get("kind") != kind:
         raise DimensionMismatch(f"expected a {kind} record, got kind={record.get('kind')!r}")
     missing = [key for key in keys if key not in record]
@@ -182,11 +159,15 @@ def projection_to_dict(result: ProjectionResult, config: dict | None = None, **e
 
 def projection_from_dict(record: dict) -> ProjectionResult:
     _check_record(record, "projection", ("matrix", "frame", "method", "achieved_kld"))
+    frame, original = record["frame"], record.get("matrix_original")
+    if frame not in (FRAME_ORIGINAL, FRAME_WHITENED):
+        raise DimensionMismatch(f"projection record has unknown frame {frame!r}")
+    if frame == FRAME_WHITENED and original is None:
+        raise DimensionMismatch(f"a {frame} projection record needs matrix_original")
     scores = record.get("component_scores")
-    original = record.get("matrix_original")
     return ProjectionResult(
         matrix=np.array(record["matrix"], dtype=float),
-        frame=record["frame"],
+        frame=frame,
         method=record["method"],
         achieved_kld=float(record["achieved_kld"]),
         component_scores=tuple(scores) if scores is not None else None,
@@ -197,17 +178,11 @@ def projection_from_dict(record: dict) -> ProjectionResult:
 
 def dataset_to_csv(path, data: LabeledDataset) -> None:
     header = [f"f{i}" for i in range(data.dim)] + ["label"]
-    rows = (
-        [format_float(v) for v in x_row] + [str(int(label))]
-        for x_row, label in zip(data.samples, data.labels)
-    )
-    write_csv(path, header, rows)
+    write_csv(path, header, [*data.samples.T, data.labels])
 
 
 def dataset_from_csv(path) -> LabeledDataset:
-    header, rows = read_csv(path)
-    if not header or header[-1] != "label":
+    header, table = read_csv(path)
+    if header[-1] != "label":
         raise DimensionMismatch(f"{path}: expected a trailing 'label' column, got {header[-3:]}")
-    samples = np.array([[float(cell) for cell in row[:-1]] for row in rows], dtype=float)
-    labels = np.array([int(row[-1]) for row in rows])
-    return LabeledDataset(samples, labels)
+    return LabeledDataset(table[:, :-1], table[:, -1])

@@ -1,5 +1,6 @@
 """Command line behavior: artifacts, exit codes, determinism."""
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from klproj import GaussianParams, fit_auto, kld
 from klproj.cli import main
+from klproj.evaluate import MAX_RESOLUTION
 from klproj.fileio import (
     dataset_from_csv,
     params_from_dict,
@@ -216,11 +218,56 @@ class TestFit:
 class TestMalformedInput:
     """Malformed files exit 2 with one JSON error line, never a traceback."""
 
-    def assert_input_error(self, code, capsys):
+    def assert_input_error(self, code, capsys, mentions=""):
         assert code == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "DimensionMismatch"
+        err = json.loads(lines[0])
+        assert err["error"] == "DimensionMismatch"
+        assert mentions in err["message"]
+
+    @pytest.mark.parametrize("body", [
+        "f0,f1,label\n1.0,oops,1\n2.0,3.0,2\n",
+        "f0,f1,label\n1.0,2.0,1\n2.0,2\n",
+        "f0,label\n1.0,2.0,1\n2.0,3.0,2\n",
+        "f0,f1,label\n",
+        "f0,f1,label\n#1.0,2.0,1\n2.0,3.0,2\n",
+    ], ids=["non-numeric-cell", "ragged-row", "header-width", "header-only", "hash-row"])
+    def test_malformed_dataset_csv(self, tmp_path, capsys, body):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
+        code = run(["fit", "--dataset", bad, "--r", 1, "--out", tmp_path / "x.json"])
+        self.assert_input_error(code, capsys, mentions=str(bad))
+
+    def test_json_array_instead_of_record(self, tmp_path, capsys):
+        bad = tmp_path / "a.json"
+        bad.write_text("[1, 2]\n")
+        code = run(["fit", "--params", bad, bad, "--r", 1, "--out", tmp_path / "x.json"])
+        self.assert_input_error(code, capsys, mentions="list")
+
+    @pytest.mark.parametrize("field, value", [("matrix_original", None), ("frame", "sideways")])
+    def test_projection_with_bad_frame(self, tmp_path, capsys, field, value):
+        out = gen_direct(tmp_path / "g", seed=9)
+        params = [out / "params_class1.json", out / "params_class2.json"]
+        proj = tmp_path / "proj.json"
+        assert run(["fit", "--params", *params, "--r", 2, "--method", "alg2",
+                    "--out", proj]) == 0
+        record = read_json(proj)
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        write_json(proj, record)
+        code = run(["eval", "--projection", proj, "--dataset", out / "dataset.csv",
+                    "--scatter", "--out-dir", tmp_path / "ev"])
+        self.assert_input_error(code, capsys, mentions=field)
+
+    def test_resolution_above_bound(self, tmp_path, param_files, capsys):
+        proj = tmp_path / "proj.json"
+        assert run(["fit", "--params", *param_files, "--r", 2, "--out", proj]) == 0
+        code = run(["eval", "--projection", proj, "--params", *param_files, "--density-grid",
+                    "--resolution", MAX_RESOLUTION + 1, "--out-dir", tmp_path / "ev"])
+        self.assert_input_error(code, capsys, mentions=str(MAX_RESOLUTION))
 
     def test_empty_dataset_csv(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -256,7 +303,8 @@ class TestEval:
         code = run(["eval", "--projection", proj, "--params", *param_files,
                     "--sweep-r", "1..4", "--out-dir", out])
         assert code == 0
-        header, rows = read_csv(out / "sweep.csv")
+        with open(out / "sweep.csv", newline="") as handle:
+            header, *rows = csv.reader(handle)
         assert header == ["method", "r", "kld"]
         full = read_json(out / "sweep.config.json")["config"]["full_kld"]
         methods = {row[0] for row in rows}
@@ -289,13 +337,13 @@ class TestEval:
         code = run(["eval", "--projection", proj, "--params", *param_files,
                     "--density-grid", "--resolution", 61, "--out-dir", ev])
         assert code == 0
-        header, rows = read_csv(ev / "density_grid.csv")
+        header, table = read_csv(ev / "density_grid.csv")
         assert header == ["x", "y", "class", "density"]
-        assert len(rows) == 2 * 61 * 61
+        assert table.shape == (2 * 61 * 61, 4)
         # class 1 in the whitened frame is N(0, I): the tabulated values must
         # be exactly that density at their grid points, peaking near origin
-        c1 = [(float(x), float(y), float(v)) for x, y, lab, v in rows if lab == "1"]
-        x0, y0, peak = max(c1, key=lambda t: t[2])
+        c1 = table[table[:, 2] == 1]
+        x0, y0, _, peak = c1[np.argmax(c1[:, 3])]
         expect = math.exp(-(x0**2 + y0**2) / 2.0) / (2.0 * math.pi)
         assert peak == pytest.approx(expect, rel=1e-9)
         assert abs(x0) < 0.5 and abs(y0) < 0.5
@@ -308,10 +356,10 @@ class TestEval:
         code = run(["eval", "--projection", proj, "--dataset", out / "dataset.csv",
                     "--scatter", "--out-dir", ev])
         assert code == 0
-        header, rows = read_csv(ev / "scatter.csv")
+        header, table = read_csv(ev / "scatter.csv")
         assert header == ["x", "y", "class"]
-        assert len(rows) == 120
-        assert {row[2] for row in rows} == {"1", "2"}
+        assert table.shape == (120, 3)
+        np.testing.assert_array_equal(np.unique(table[:, 2]), [1, 2])
 
     def test_density_grid_needs_planar_projection(self, tmp_path, param_files):
         proj = tmp_path / "proj.json"

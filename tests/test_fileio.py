@@ -14,7 +14,6 @@ from klproj.fileio import (
     dataset_from_csv,
     dataset_to_csv,
     dumps_json,
-    format_float,
     params_from_dict,
     params_to_dict,
     projection_from_dict,
@@ -26,24 +25,29 @@ from klproj.fileio import (
 )
 
 
-class TestFormatFloat:
-    def test_round_trips_float64_bit_exactly(self):
-        rng = np.random.default_rng(801)
-        specials = [0.0, -0.0, 1.0, -1.0, math.pi, 1e-308, 1e308, 5e-324]
-        drawn = list(rng.standard_normal(200)) + list(
-            np.exp(rng.uniform(-300, 300, size=200)) * rng.choice([-1.0, 1.0], 200)
-        )
-        for x in specials + drawn:
-            back = float(format_float(x))
-            assert back == x or (x == 0.0 and back == 0.0)
-            # sign of zero must survive too
-            if x == 0.0:
-                assert math.copysign(1.0, back) == math.copysign(1.0, x)
+def _hard_floats(seed):
+    """Signed zeros, a subnormal, extremes and wide-exponent draws."""
+    rng = np.random.default_rng(seed)
+    specials = [0.0, -0.0, 1.0, -1.0, math.pi, 1e-308, 1e308, 5e-324]
+    drawn = list(rng.standard_normal(200)) + list(
+        np.exp(rng.uniform(-300, 300, size=200)) * rng.choice([-1.0, 1.0], 200)
+    )
+    return np.array(specials + drawn)
 
-    def test_nan_and_infinities(self):
-        assert format_float(float("nan")) == "NaN"
-        assert format_float(float("inf")) == "Infinity"
-        assert format_float(float("-inf")) == "-Infinity"
+
+class TestFormatFloat:
+    def test_round_trips_float64_bit_exactly(self, tmp_path):
+        # each float cell's text, parsed on its own, gives back the same bits
+        vals = _hard_floats(801)
+        path = tmp_path / "t.csv"
+        write_csv(path, ["x"], [vals])
+        cells = path.read_text().splitlines()[1:]
+        assert len(cells) == len(vals)
+        for text, x in zip(cells, vals):
+            back = float(text)
+            assert back == x
+            # sign of zero must survive too
+            assert math.copysign(1.0, back) == math.copysign(1.0, x)
 
 
 class TestDumpsJson:
@@ -75,8 +79,20 @@ class TestDumpsJson:
     def test_unserializable_rejected(self):
         with pytest.raises(TypeError):
             dumps_json({"bad": object()})
-        with pytest.raises(TypeError):
-            dumps_json({1: "non-string key"})
+
+    def test_floats_take_shortest_round_trip_form(self):
+        rng = np.random.default_rng(801)
+        vals = [0.1, -0.0, 5e-324, 1e308] + list(rng.standard_normal(100))
+        text = dumps_json({"v": vals})
+        assert "0.1," in text and "0.10000000000000001" not in text
+        back = json.loads(text)["v"]
+        assert back == vals
+        assert math.copysign(1.0, back[1]) == -1.0
+
+    def test_layout_is_two_space_indent(self):
+        assert dumps_json({"a": [1, {}], "b": []}) == (
+            '{\n  "a": [\n    1,\n    {}\n  ],\n  "b": []\n}\n'
+        )
 
 
 class TestAtomicWrites:
@@ -106,19 +122,33 @@ class TestAtomicWrites:
 class TestCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b"], [[1, 2.5], [3, -0.125]])
-        header, rows = read_csv(path)
+        write_csv(path, ["a", "b"], [[1, 3], [2.5, -0.125]])
+        assert path.read_text() == "a,b\n1,2.5\n3,-0.125\n"
+        header, table = read_csv(path)
         assert header == ["a", "b"]
-        assert rows == [["1", "2.5"], ["3", "-0.125"]]
+        np.testing.assert_array_equal(table, [[1, 2.5], [3, -0.125]])
+
+    def test_columns_pick_their_format(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["method", "r", "kld"], [("alg1", "lol"), (1, 2), (0.1, 2.0)])
+        assert path.read_text() == (
+            "method,r,kld\nalg1,1,0.10000000000000001\nlol,2,2\n"
+        )
 
     def test_float_cells_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(811)
-        vals = rng.standard_normal(50)
+        vals = _hard_floats(811)
         path = tmp_path / "t.csv"
-        write_csv(path, ["x"], [[v] for v in vals])
-        _, rows = read_csv(path)
-        back = np.array([float(r[0]) for r in rows])
-        np.testing.assert_array_equal(back, vals)
+        write_csv(path, ["x"], [vals])
+        _, table = read_csv(path)
+        np.testing.assert_array_equal(table[:, 0], vals)
+        # sign of zero must survive too
+        np.testing.assert_array_equal(np.signbit(table[:, 0]), np.signbit(vals))
+
+    def test_nan_and_infinities_round_trip(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["x"], [[np.nan, np.inf, -np.inf]])
+        _, table = read_csv(path)
+        np.testing.assert_array_equal(table[:, 0], [np.nan, np.inf, -np.inf])
 
 
 class TestParamsRecord:
@@ -169,6 +199,26 @@ class TestProjectionRecord:
     def test_wrong_kind_rejected(self):
         with pytest.raises(DimensionMismatch):
             projection_from_dict({"kind": "gaussian_params"})
+
+    def test_json_array_rejected(self):
+        with pytest.raises(DimensionMismatch, match="list"):
+            projection_from_dict([1, 2])
+
+    def test_whitened_frame_without_original_rows_rejected(self):
+        p1 = random_class_params(4, 0.5, 3.0, 1.0, 853)
+        p2 = random_class_params(4, 0.5, 3.0, 1.0, 854)
+        rec = projection_to_dict(whitened_component_projection(p1, p2, 2))
+        del rec["matrix_original"]
+        with pytest.raises(DimensionMismatch, match="matrix_original"):
+            projection_from_dict(rec)
+
+    def test_unknown_frame_rejected(self):
+        p1 = random_class_params(4, 0.5, 3.0, 1.0, 855)
+        p2 = random_class_params(4, 0.5, 3.0, 1.0, 856)
+        rec = projection_to_dict(mean_first_projection(p1, p2, 2))
+        rec["frame"] = "sideways"
+        with pytest.raises(DimensionMismatch, match="sideways"):
+            projection_from_dict(rec)
 
 
 class TestDatasetCsv:
