@@ -30,10 +30,11 @@ from .errors import KlprojError
 from .gaussian import (
     GaussianParams,
     LabeledDataset,
+    _check_projection,
     estimate_params,
-    kld,
     kld_projected,
     pooled_covariance,
+    project_params,
 )
 from .linalg import orthonormalize_rows
 from .projections import (
@@ -79,10 +80,6 @@ def _config(args) -> dict:
     if "params" in config:
         config["params"] = list(args.params or [])
     return config
-
-
-def _regime_dict(p1: GaussianParams, p2: GaussianParams, r: int) -> dict:
-    return asdict(select_regime(p1, p2, r))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +217,9 @@ def cmd_fit(args) -> int:
             )
         p1, p2 = plist
         result = _fit_two_class(args, p1, p2, pooled)
-        extras["full_kld"] = kld(p1, p2)
-        extras["regime"] = _regime_dict(p1, p2, result.r)
+        report = select_regime(p1, p2, result.r)
+        extras["full_kld"] = report.d_mu + report.d_sigma
+        extras["regime"] = asdict(report)
         if args.refine:
             opts = AscentOptions() if args.max_iters is None else AscentOptions(
                 max_iters=args.max_iters
@@ -256,15 +254,6 @@ def cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
-
-
-def _whitened_view(p1: GaussianParams, p2: GaussianParams) -> tuple[GaussianParams, GaussianParams]:
-    """The class pair mapped by x -> S (x - mu1) with S the class-1 whitener."""
-    pair = _ClassPair(p1, p2)
-    return (
-        GaussianParams(np.zeros(p1.dim), np.eye(p1.dim)),
-        GaussianParams(pair.whitened_mean, pair.whitened),
-    )
 
 
 def _parse_sweep_range(text: str) -> range:
@@ -322,8 +311,11 @@ def cmd_eval(args) -> int:
             raise ValueError("--density-grid needs a projection with exactly 2 rows")
         for index, (fname, proj) in enumerate(planar, start=1):
             if proj.frame == FRAME_WHITENED:
-                q1, q2 = _whitened_view(p1, p2)
-                grid = density_grid(proj.matrix, q1, q2, resolution=args.resolution)
+                # derived from the original rows: the 2 x 2 pair along its whitened axes
+                a = _check_projection(proj.matrix_original, p1.dim)
+                planar_pair = _ClassPair(project_params(a, p1), project_params(a, p2))
+                grid = density_grid(np.eye(2), *planar_pair.whitened_axes(),
+                                    resolution=args.resolution)
             else:
                 grid = density_grid(proj.matrix, p1, p2, resolution=args.resolution)
             # class outer, x middle, y inner: values[i, j] sits at (x_axis[i], y_axis[j])
@@ -374,7 +366,7 @@ def cmd_regime(args) -> int:
     if len(plist) != 2:
         raise ValueError(f"regime analysis compares exactly 2 classes, got {len(plist)}")
     config = _config(args)
-    record = {"kind": "regime", **_regime_dict(plist[0], plist[1], args.r), "config": config}
+    record = {"kind": "regime", **asdict(select_regime(*plist, args.r)), "config": config}
     if args.out:
         _write_json(Path(args.out), record)
     else:

@@ -157,6 +157,18 @@ def projection_to_dict(result: ProjectionResult, config: dict | None = None, **e
     return record
 
 
+def _record_matrix(record: dict, key: str, shape: tuple | None = None) -> np.ndarray:
+    """record[key] as a float64 array; it must be 2-D, numeric and, if given, of ``shape``."""
+    try:
+        a = np.asarray(record[key])
+    except ValueError:  # ragged rows
+        a = np.asarray(None)
+    if a.ndim != 2 or a.dtype.kind not in "iuf" or shape not in (None, a.shape):
+        want = "" if shape is None else f" of shape {shape}"
+        raise DimensionMismatch(f"projection record {key} must be a 2-D array of numbers{want}")
+    return a.astype(float)
+
+
 def projection_from_dict(record: dict) -> ProjectionResult:
     _check_record(record, "projection", ("matrix", "frame", "method", "achieved_kld"))
     frame, original = record["frame"], record.get("matrix_original")
@@ -164,14 +176,24 @@ def projection_from_dict(record: dict) -> ProjectionResult:
         raise DimensionMismatch(f"projection record has unknown frame {frame!r}")
     if frame == FRAME_WHITENED and original is None:
         raise DimensionMismatch(f"a {frame} projection record needs matrix_original")
+    matrix = _record_matrix(record, "matrix")
+    if original is not None:
+        original = _record_matrix(record, "matrix_original", matrix.shape)
+    for key, size in zip(("r", "dim"), matrix.shape):
+        if record.get(key, size) != size:
+            raise DimensionMismatch(
+                f"projection record {key}={record[key]!r} disagrees with its {matrix.shape} matrix")
     scores = record.get("component_scores")
+    if not (scores is None or isinstance(scores, list)
+            and all(type(v) in (int, float) for v in scores)):
+        raise DimensionMismatch("projection record component_scores must be null or a list of numbers")
     return ProjectionResult(
-        matrix=np.array(record["matrix"], dtype=float),
+        matrix=matrix,
         frame=frame,
         method=record["method"],
         achieved_kld=float(record["achieved_kld"]),
         component_scores=tuple(scores) if scores is not None else None,
-        matrix_original=np.array(original, dtype=float) if original is not None else None,
+        matrix_original=original,
         warnings=tuple(record.get("warnings", ())),
     )
 

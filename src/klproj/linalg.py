@@ -3,10 +3,10 @@
 Everything downstream (divergence evaluation, projection construction,
 refinement) is built on the operations here: symmetric eigendecomposition
 with a deterministic ordering, SPD validation (eigenvalues only), SPD inverse
-square root, whitening of a symmetric-definite pencil (the code a class pair
-in ``projections`` is factored with, once) and its generalized eigenvectors,
-row orthonormalization, and principal angles between row spaces.  All
-routines work in float64 and validate their inputs.
+square root, Cholesky whitening of a symmetric-definite pencil (the code a
+class pair in ``projections`` is factored with, once) and its generalized
+eigenvectors, row orthonormalization, and principal angles between row
+spaces.  All routines work in float64 and validate their inputs.
 """
 
 from dataclasses import dataclass
@@ -85,8 +85,10 @@ def sym_eig(m) -> SymEigen:
     also makes the call safe for matrices that are symmetric only up to
     roundoff.
     """
-    a = _symmetrized(_as_square(m, "matrix"))
-    w, v = np.linalg.eigh(a)
+    return _descending(*np.linalg.eigh(_symmetrized(_as_square(m, "matrix"))))
+
+
+def _descending(w: np.ndarray, v: np.ndarray) -> SymEigen:
     order = np.argsort(-w, kind="stable")
     return SymEigen(eigenvalues=w[order], eigenvectors=v[:, order])
 
@@ -150,24 +152,27 @@ class GenEigen:
 
 
 class WhitenedPencil:
-    """The SPD pencil (B, C) whitened once by S = C^{-1/2} (spd_inv_sqrt).
+    """The pencil (B, C) whitened once by the Cholesky factor C = L L^T.
 
-    ``whitened`` is S B S, exactly symmetric.  Its eigendecomposition
-    ``eig`` (U, lambda) and the pencil's unit generalized eigenvectors, the
-    normalized columns of S U (``pencil``), are computed on first use.
+    ``factor`` is L and ``eig`` (U, lambda) the eigendecomposition of the
+    whitened L^-1 B L^-T (LAPACK sygst), the pencil's only d x d one.  The
+    unit generalized eigenvectors, the normalized columns of L^-T U
+    (``pencil``), are computed on first use.
     """
 
     def __init__(self, b, c):
-        self.whitener = spd_inv_sqrt(c)
-        self.whitened = _symmetrized(self.whitener @ b @ self.whitener)
+        self.factor = np.linalg.cholesky(c)
+        # sygst leaves L^-1 B L^-T in the lower triangle, the one eigh reads
+        w, _ = scipy.linalg.lapack.dsygst(b, self.factor, itype=1, lower=1)
+        self.eig = _descending(*np.linalg.eigh(w))
 
-    @cached_property
-    def eig(self) -> SymEigen:
-        return sym_eig(self.whitened)
+    def unwhiten(self, u: np.ndarray) -> np.ndarray:
+        """L^-T u: whitened-frame directions (columns) as original-frame ones."""
+        return scipy.linalg.solve_triangular(self.factor, u, lower=True, trans="T")
 
     @cached_property
     def pencil(self) -> GenEigen:
-        vecs = self.whitener @ self.eig.eigenvectors
+        vecs = self.unwhiten(self.eig.eigenvectors)
         return GenEigen(eigenvalues=self.eig.eigenvalues,
                         eigenvectors=vecs / np.linalg.norm(vecs, axis=0))
 
@@ -175,17 +180,18 @@ class WhitenedPencil:
 def generalized_eig(b, c) -> GenEigen:
     """Generalized eigendecomposition of the SPD pencil (B, C).
 
-    Solved by whitening (WhitenedPencil): with S = C^{-1/2}, the symmetric
-    problem S B S u = lambda u is factored and v = S u is renormalized to
-    unit length.  Eigenvalues of (B, C) and (C, B) are reciprocal with
-    collinear eigenvectors.
+    Solved by Cholesky reduction (WhitenedPencil): with C = L L^T, the
+    symmetric problem L^-1 B L^-T u = lambda u is factored and v = L^-T u is
+    renormalized to unit length.  Eigenvalues of (B, C) and (C, B) are
+    reciprocal with collinear eigenvectors.
     """
     b = _as_square(b, "B")
     c = _as_square(c, "C")
     if b.shape != c.shape:
         raise DimensionMismatch(f"B and C must agree in shape, got {b.shape} and {c.shape}")
     assert_spd(b, "B")
-    return WhitenedPencil(b, c).pencil
+    assert_spd(c, "C")
+    return WhitenedPencil(_symmetrized(b), _symmetrized(c)).pencil
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ divergence-order diagnostic ``equal_mean_order_check`` round out the module.
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from . import linalg
 from .errors import (
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .gaussian import (
     GaussianParams,
+    KldBreakdown,
     _check_same_dim,
     _cholesky,
     component_kld,
@@ -160,19 +162,39 @@ def _basis_with_first_row(v: np.ndarray) -> np.ndarray:
 
 
 class _ClassPair(linalg.WhitenedPencil):
-    """A class pair factored once: the pencil (S2, S1) whitened by S = S1^-1/2.
+    """A class pair factored once: the pencil (S2, S1) whitened by S1 = L L^T.
 
-    ``whitened`` is S S2 S and ``whitened_mean`` S (m2 - m1).  alg2 reads
-    the one eigendecomposition U, lambda of S S2 S (``eig``); alg1's pencil
-    vectors, the normalized columns of S U (``pencil``), are formed only
-    when alg1 runs.  A pair lives only as long as the call that built it.
+    x -> L^-1 (x - m1) maps the pair to N(0, I) vs N(``whitened_mean``,
+    L^-1 S2 L^-T).  alg1, alg2 and the regime rule (``split``) all read the
+    one eigendecomposition U, lambda of L^-1 S2 L^-T (``eig``).  A pair
+    lives only as long as the call that built it.
     """
 
     def __init__(self, p1: GaussianParams, p2: GaussianParams):
         _check_same_dim(p1, p2)
         super().__init__(p2.covariance, p1.covariance)
         self.p1, self.p2 = p1, p2
-        self.whitened_mean = self.whitener @ (p2.mean - p1.mean)
+        self.whitened_mean = solve_triangular(self.factor, p2.mean - p1.mean, lower=True)
+
+    @property
+    def eig_mean(self) -> np.ndarray:
+        """m = U^T whitened_mean: the mean offset along each whitened eigendirection."""
+        return self.eig.eigenvectors.T @ self.whitened_mean
+
+    @property
+    def split(self) -> KldBreakdown:
+        """kld_split off the spectrum: d_mu = sum m_i^2 / (2 lambda_i), d_sigma = sum g(lambda_i)."""
+        lam = self.eig.eigenvalues
+        d_mu = 0.5 * float(np.sum(self.eig_mean**2 / lam))
+        d_sigma = max(0.0, float(np.sum(g_score(lam))))  # terms >= 0 up to rounding
+        return KldBreakdown(total=d_mu + d_sigma, d_mu=d_mu, d_sigma=d_sigma)
+
+    def whitened_axes(self) -> tuple[GaussianParams, GaussianParams]:
+        """The pair along U, axes in alg2's order: N(0, I) vs N(m, diag(lambda))."""
+        lam, m = self.eig.eigenvalues, self.eig_mean
+        order = _ranked(component_kld(m, lam), lam)
+        return (GaussianParams(np.zeros(lam.size), np.eye(lam.size)),
+                GaussianParams(m[order], np.diag(lam[order])))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +252,8 @@ def _mean_first(pair: _ClassPair, r: int) -> ProjectionResult:
             "replaced by the next covariance-contrast direction",
         )
     else:
-        l2 = _cholesky(p2.covariance, "second covariance")
-        rows.append(cho_solve((l2, True), p2.mean - p1.mean))
+        # S2^-1 (m2 - m1) = L^-T U diag(1 / lambda) U^T L^-1 (m2 - m1)
+        rows.append(pair.unwhiten(pair.eig.eigenvectors @ (pair.eig_mean / pencil.eigenvalues)))
     rows, picked = _greedy_fill(rows, pencil.eigenvectors, order, scores, r)
     matrix = linalg.orthonormalize_rows(np.vstack(rows))
     return ProjectionResult(
@@ -247,21 +269,21 @@ def _mean_first(pair: _ClassPair, r: int) -> ProjectionResult:
 def whitened_component_projection(p1: GaussianParams, p2: GaussianParams, r: int) -> ProjectionResult:
     """Top-r one-dimensional divergences in the class-1 whitened frame.
 
-    With S = S1^-1/2, the whitened pair is N(0, I) vs N(S (m2 - m1),
-    S S2 S).  Eigendirections u_i of the whitened covariance decouple the
-    divergence into independent one-dimensional pieces scored by
-    component_kld(u_i . mean, lambda_i); the projection keeps the r largest.
-    ``matrix`` holds the (orthonormal) whitened-frame rows u_i and
-    ``matrix_original`` the equivalent original-frame rows u_i^T S,
-    orthonormalized.  ``achieved_kld`` is the sum of the selected scores,
-    which at r = d equals the full divergence.  S, U and lambda come from a
-    _ClassPair factored for this call (fit_auto and sweep_r share theirs).
-    Reported under the method tag "alg2".
+    With the Cholesky factor S1 = L L^T, the whitened pair is N(0, I) vs
+    N(L^-1 (m2 - m1), L^-1 S2 L^-T).  Eigendirections u_i of the whitened
+    covariance decouple the divergence into independent one-dimensional
+    pieces scored by component_kld(u_i . mean, lambda_i); the projection
+    keeps the r largest.  ``matrix`` holds the (orthonormal) whitened-frame
+    rows u_i and ``matrix_original`` the equivalent original-frame rows
+    (L^-T u_i)^T, orthonormalized.  ``achieved_kld`` is the sum of the
+    selected scores, which at r = d equals the full divergence.  L, U and
+    lambda come from a _ClassPair factored for this call (fit_auto and
+    sweep_r share theirs).  Reported under the method tag "alg2".
 
-    When the whitened covariance is the identity (Frobenius distance below
+    When the whitened covariance is the identity (|lambda - 1| below
     1e-8 * d) only the mean direction matters: the first row is the whitened
     mean direction, completed by any orthonormal complement, retaining
-    |S (m2 - m1)|^2 / 2.  If that mean offset is below 1e-12 as well, the
+    |L^-1 (m2 - m1)|^2 / 2.  If that mean offset is below 1e-12 as well, the
     classes are numerically identical and no projection is meaningful.
     """
     return _whitened_component(_ClassPair(p1, p2), r)
@@ -270,32 +292,25 @@ def whitened_component_projection(p1: GaussianParams, p2: GaussianParams, r: int
 def _whitened_component(pair: _ClassPair, r: int) -> ProjectionResult:
     d = pair.p1.dim
     r = _check_r(r, d)
-    mu_t = pair.whitened_mean
-    if np.linalg.norm(pair.whitened - np.eye(d)) < 1e-8 * d:
-        offset = float(np.linalg.norm(mu_t))
+    eig = pair.eig
+    if np.linalg.norm(eig.eigenvalues - 1.0) < 1e-8 * d:
+        offset = float(np.linalg.norm(pair.whitened_mean))
         if offset < 1e-12:
-            raise IdenticalDistributions(
-                "classes are numerically indistinguishable after whitening"
-            )
-        basis = _basis_with_first_row(mu_t / offset)
-        matrix = basis[:r]
+            raise IdenticalDistributions("classes are numerically indistinguishable after whitening")
+        matrix = _basis_with_first_row(pair.whitened_mean / offset)[:r]
         picked = (0.5 * offset**2,) + (0.0,) * (r - 1)
-        achieved = 0.5 * offset**2
     else:
-        eig = pair.eig
-        m = eig.eigenvectors.T @ mu_t
-        scores = component_kld(m, eig.eigenvalues)
+        scores = component_kld(pair.eig_mean, eig.eigenvalues)
         sel = _ranked(scores, eig.eigenvalues)[:r]
         matrix = eig.eigenvectors[:, sel].T
         picked = tuple(float(v) for v in scores[sel])
-        achieved = float(np.sum(scores[sel]))
     return ProjectionResult(
         matrix=matrix,
         frame=FRAME_WHITENED,
         method="alg2",
-        achieved_kld=achieved,
+        achieved_kld=float(np.sum(picked)),
         component_scores=picked,
-        matrix_original=linalg.orthonormalize_rows(matrix @ pair.whitener),
+        matrix_original=linalg.orthonormalize_rows(pair.unwhiten(matrix.T).T),
     )
 
 
@@ -325,26 +340,22 @@ def select_regime(p1: GaussianParams, p2: GaussianParams, r: int) -> RegimeRepor
     """Split the divergence and recommend a construction for this r."""
     split = kld_split(p1, p2)
     recommendation, threshold = regime_recommendation(split.d_mu, split.d_sigma, int(r))
-    return RegimeReport(
-        d_mu=split.d_mu,
-        d_sigma=split.d_sigma,
-        r=int(r),
-        threshold=threshold,
-        recommendation=recommendation,
-    )
+    return RegimeReport(split.d_mu, split.d_sigma, int(r), threshold, recommendation)
 
 
 def fit_auto(p1: GaussianParams, p2: GaussianParams, r: int, mode: str = "rule") -> ProjectionResult:
     """Fit a projection, choosing the construction automatically.
 
-    mode "rule" follows select_regime (running both constructions when it
-    says "compare_both"); mode "compare" always runs both and returns the
-    larger retained divergence.  Ties go to the mean-first construction.
+    mode "rule" applies select_regime's rule to the pair's spectral split
+    (running both constructions when it says "compare_both"); mode "compare"
+    always runs both and returns the larger retained divergence.  Ties go to
+    the mean-first construction.
     """
     if mode not in ("rule", "compare"):
         raise ValueError(f"mode must be 'rule' or 'compare', got {mode!r}")
-    use = select_regime(p1, p2, r).recommendation if mode == "rule" else "compare_both"
     pair = _ClassPair(p1, p2)
+    split = pair.split if mode == "rule" else None
+    use = regime_recommendation(split.d_mu, split.d_sigma, int(r))[0] if split else "compare_both"
     fits = [fit(pair, r) for tag, fit in (("alg1", _mean_first), ("alg2", _whitened_component))
             if use in (tag, "compare_both")]
     # max keeps the first of equal values: ties go to alg1
@@ -373,12 +384,9 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
     """
     if len(params) < 2:
         raise DimensionMismatch(f"need at least 2 classes, got {len(params)}")
-    d = params[0].dim
     for p in params[1:]:
-        if p.dim != d:
-            raise DimensionMismatch("classes live in different dimensions")
-    k = len(params)
-    r = _check_r(k - 1 if r is None else r, d)
+        _check_same_dim(params[0], p)
+    r = _check_r(len(params) - 1 if r is None else r, params[0].dim)
 
     sigma = np.mean([p.covariance for p in params], axis=0)
     means = np.stack([p.mean for p in params])
@@ -386,7 +394,7 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
     s_mu = centered.T @ centered
 
     whitened = linalg.WhitenedPencil(s_mu, sigma)
-    s, eig = whitened.whitener, whitened.eig
+    eig = whitened.eig
     lam = eig.eigenvalues
     available = int(np.count_nonzero(lam > linalg.RANK_RTOL * max(lam[0], 0.0)))
     if available == 0:
@@ -399,13 +407,8 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
             f"{available} rows instead of {r}",
         )
         r = available
-    matrix = linalg.orthonormalize_rows((s @ eig.eigenvectors[:, :r]).T)
-    achieved = sum(
-        kld_projected(matrix, params[i], params[j])
-        for i in range(k)
-        for j in range(k)
-        if i != j
-    )
+    matrix = linalg.orthonormalize_rows(whitened.unwhiten(eig.eigenvectors[:, :r]).T)
+    achieved = sum(kld_projected(matrix, pi, pj) for pi, pj in permutations(params, 2))
     return ProjectionResult(
         matrix=matrix,
         frame=FRAME_ORIGINAL,

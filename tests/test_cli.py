@@ -8,7 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from klproj import GaussianParams, fit_auto, kld
+from klproj import (
+    GaussianParams,
+    ProjectionResult,
+    component_kld,
+    fit_auto,
+    kld,
+    orthonormalize_rows,
+    spd_inv_sqrt,
+    sym_eig,
+)
 from klproj.cli import main
 from klproj.evaluate import MAX_RESOLUTION
 from klproj.fileio import (
@@ -16,10 +25,13 @@ from klproj.fileio import (
     params_from_dict,
     params_to_dict,
     projection_from_dict,
+    projection_to_dict,
     read_csv,
     read_json,
     write_json,
 )
+from klproj.gaussian import project_params
+from klproj.projections import FRAME_WHITENED, _ClassPair, _ranked
 
 
 def run(argv):
@@ -128,7 +140,7 @@ class TestFit:
         # at its start; re-evaluating the re-orthonormalized best iterate
         # lands a rounding step below the closed-form value on this seed
         out = tmp_path / "c"
-        assert run(["gen", "--d", 6, "--t", 2, "--seed", 2, "--out-dir", out]) == 0
+        assert run(["gen", "--d", 6, "--t", 2, "--seed", 24, "--out-dir", out]) == 0
         params = [out / "params_class1.json", out / "params_class2.json"]
         start, refined = tmp_path / "start.json", tmp_path / "refined.json"
         assert run(["fit", "--params", *params, "--r", 2, "--out", start]) == 0
@@ -293,6 +305,83 @@ class TestMalformedInput:
         code = run(["eval", "--projection", proj, "--params", *param_files,
                     "--sweep-r", "1..2", "--out-dir", tmp_path / "ev"])
         self.assert_input_error(code, capsys)
+
+    @pytest.mark.parametrize("field, mutate", [
+        ("matrix", lambda rec: 5),
+        ("matrix", lambda rec: [rec["matrix"][0], rec["matrix"][1][:-1]]),
+        ("matrix", lambda rec: [["a"] * len(row) for row in rec["matrix"]]),
+        ("matrix_original", lambda rec: [row + [0.0] for row in rec["matrix_original"]]),
+        ("r", lambda rec: 3),
+        ("dim", lambda rec: rec["dim"] + 1),
+        ("component_scores", lambda rec: 5),
+        ("component_scores", lambda rec: ["high", "low"]),
+    ], ids=["matrix-scalar", "matrix-ragged", "matrix-strings", "original-too-wide",
+            "r-disagrees", "dim-disagrees", "scores-scalar", "scores-strings"])
+    def test_projection_with_bad_shape_or_type(self, tmp_path, param_files, capsys, field,
+                                               mutate):
+        proj = tmp_path / "proj.json"
+        assert run(["fit", "--params", *param_files, "--r", 2, "--method", "alg2",
+                    "--out", proj]) == 0
+        record = read_json(proj)
+        record[field] = mutate(record)
+        write_json(proj, record)
+        code = run(["eval", "--projection", proj, "--params", *param_files,
+                    "--density-grid", "--resolution", 11, "--out-dir", tmp_path / "ev"])
+        self.assert_input_error(code, capsys, mentions=field)
+
+
+class TestWhitenedView:
+    """The density grid of a whitened-frame record is derived from matrix_original."""
+
+    @staticmethod
+    def axes(a, p1, p2):
+        # what eval --density-grid plots for a whitened-frame record
+        return _ClassPair(project_params(a, p1), project_params(a, p2)).whitened_axes()
+
+    def old_style_record(self, p1, p2, r=2):
+        # alg2 as written before the Cholesky whitener: rows in the S1^-1/2 frame
+        s = spd_inv_sqrt(p1.covariance)
+        eig = sym_eig(s @ p2.covariance @ s)
+        lam = eig.eigenvalues
+        scores = component_kld(eig.eigenvectors.T @ s @ (p2.mean - p1.mean), lam)
+        sel = _ranked(scores, lam)[:r]
+        rows = eig.eigenvectors[:, sel].T
+        record = ProjectionResult(
+            matrix=rows, frame=FRAME_WHITENED, method="alg2",
+            achieved_kld=float(np.sum(scores[sel])),
+            component_scores=tuple(float(v) for v in scores[sel]),
+            matrix_original=orthonormalize_rows(rows @ s),
+        )
+        return record, lam[sel]
+
+    def test_old_whitener_frame_gives_the_same_pair(self, tmp_path, param_files):
+        p1, p2 = (params_from_dict(read_json(f)) for f in param_files)
+        record, lam = self.old_style_record(p1, p2)
+        q1, q2 = self.axes(record.matrix_original, p1, p2)
+        assert np.array_equal(q1.mean, np.zeros(2))
+        assert np.array_equal(q1.covariance, np.eye(2))
+        assert np.array_equal(q2.covariance, np.diag(np.diag(q2.covariance)))
+        np.testing.assert_allclose(np.diag(q2.covariance), lam, rtol=1e-10)
+
+        proj = tmp_path / "old.json"
+        write_json(proj, projection_to_dict(record))
+        ev = tmp_path / "ev"
+        assert run(["eval", "--projection", proj, "--params", *param_files,
+                    "--density-grid", "--resolution", 31, "--out-dir", ev]) == 0
+        peaks = read_json(ev / "density_grid.config.json")["config"]["peaks"]
+        assert peaks[0] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
+        assert peaks[1] == pytest.approx(1.0 / (2.0 * math.pi * math.sqrt(np.prod(lam))),
+                                         rel=1e-10)
+
+    def test_axes_follow_alg2_scores(self, tmp_path, param_files):
+        p1, p2 = (params_from_dict(read_json(f)) for f in param_files)
+        proj = tmp_path / "alg2.json"
+        assert run(["fit", "--params", *param_files, "--r", 2, "--method", "alg2",
+                    "--out", proj]) == 0
+        fit = projection_from_dict(read_json(proj))
+        _, q2 = self.axes(fit.matrix_original, p1, p2)
+        scores = component_kld(q2.mean, np.diag(q2.covariance))
+        np.testing.assert_allclose(scores, fit.component_scores, rtol=1e-10)
 
 
 class TestEval:

@@ -13,6 +13,7 @@ from klproj import (
     g_score,
     kld,
     kld_projected,
+    kld_split,
     lda_direction,
     lol_projection,
     mean_first_projection,
@@ -25,6 +26,8 @@ from klproj import (
     sweep_r,
     whitened_component_projection,
 )
+from klproj import gaussian, projections
+from klproj.projections import _ClassPair
 from klproj.synth import ChannelSpec, embed_channel
 from klproj.errors import (
     DimensionMismatch,
@@ -407,6 +410,14 @@ def proportional_pair(d=30, seed=311):
     return GaussianParams(np.zeros(d), s1), GaussianParams(offset, 2.0 * s1)
 
 
+def near_identity_pair(d=30, seed=321):
+    # whitened class-2 covariance 1.02 I and a small mean offset: the rule
+    # says alg2 at r >= 2, where the other two pairs say alg1
+    s1 = random_spd(SpdSpec(d, 0.1, 10.0, seed))
+    offset = np.random.default_rng(seed).standard_normal(d)
+    return GaussianParams(np.zeros(d), s1), GaussianParams(0.002 * offset, 1.02 * s1)
+
+
 def assert_same_result(a, b):
     assert (a.method, a.frame, a.achieved_kld) == (b.method, b.frame, b.achieved_kld)
     assert (a.component_scores, a.warnings) == (b.component_scores, b.warnings)
@@ -452,13 +463,31 @@ class TestPairFactoredOnce:
     def test_fit_auto_factors_the_pair_once(self, monkeypatch):
         p1, p2 = channel_pair()
         calls = self.count_full_eighs(monkeypatch, p1.dim)
-        fit_auto(p1, p2, 1)
-        # the class-1 whitener and the whitened class-2 covariance
-        assert len(calls) == 2
+        splits = []
+        for module in (gaussian, projections):
+            monkeypatch.setattr(module, "kld_split", lambda *args: splits.append(args))
+        for mode in ("rule", "compare"):
+            for r in (1, 2):
+                calls.clear()
+                fit_auto(p1, p2, r, mode=mode)
+                # the whitened class-2 covariance, the regime split read off it
+                assert len(calls) == 1
+        assert splits == []
 
     def test_sweep_factors_the_pair_once(self, monkeypatch):
         p1, p2 = channel_pair()
         calls = self.count_full_eighs(monkeypatch, p1.dim)
         sweep_r(p1, p2, ["alg1", "alg2", "lol"], range(1, 6))
-        # the pair's two, plus lol's pooled covariance
-        assert len(calls) == 3
+        # the pair's one, plus lol's pooled covariance
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("make_pair", [channel_pair, proportional_pair, near_identity_pair])
+    def test_split_read_off_the_spectrum(self, make_pair):
+        p1, p2 = make_pair()
+        split, reference = _ClassPair(p1, p2).split, kld_split(p1, p2)
+        assert split.d_mu == pytest.approx(reference.d_mu, rel=1e-12)
+        assert split.d_sigma == pytest.approx(reference.d_sigma, rel=1e-12)
+        assert split.total == split.d_mu + split.d_sigma
+        for r in (2, 3, 5):
+            rule = select_regime(p1, p2, r).recommendation
+            assert fit_auto(p1, p2, r, mode="rule").method == rule
