@@ -96,12 +96,8 @@ def cmd_gen(args) -> int:
         if args.classes != 2:
             raise ValueError("channel generation is two-class; drop --classes or use 2")
         seeds = sub_seeds(args.seed, 7)
-        config["sub_seeds"] = {
-            "signal_params": seeds[0:2],
-            "channel": seeds[2],
-            "train": seeds[3:5],
-            "test": seeds[5:7],
-        }
+        config["sub_seeds"] = {"signal_params": seeds[0:2], "channel": seeds[2],
+                               "train": seeds[3:5], "test": seeds[5:7]}
         sig1 = random_class_params(args.t, args.eig_min, args.eig_max, args.mean_scale, seeds[0])
         sig2 = random_class_params(args.t, args.eig_min, args.eig_max, args.mean_scale, seeds[1])
         chan = ChannelSpec(t=args.t, d=args.d, noise_var=args.noise_var, seed=seeds[2])
@@ -124,11 +120,8 @@ def cmd_gen(args) -> int:
     else:
         k = args.classes
         seeds = sub_seeds(args.seed, 3 * k)
-        config["sub_seeds"] = {
-            "class_params": seeds[0:k],
-            "train": seeds[k : 2 * k],
-            "test": seeds[2 * k : 3 * k],
-        }
+        config["sub_seeds"] = {"class_params": seeds[0:k], "train": seeds[k : 2 * k],
+                               "test": seeds[2 * k : 3 * k]}
         classes = [
             random_class_params(args.d, args.eig_min, args.eig_max, args.mean_scale, seeds[i])
             for i in range(k)

@@ -6,6 +6,7 @@ pairwise divergence, how well a Gaussian plug-in classifier does in the
 reduced space, and what the projected class densities look like on a grid.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,15 +149,9 @@ def pairwise_preservation(params: list[GaussianParams], a) -> np.ndarray:
     a = _check_projection(np.asarray(a, dtype=float), params[0].dim)
     projected = [project_params(a, p) for p in params]
     ratios = np.ones((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            full = kld(params[i], params[j])
-            if full < _ZERO_KLD:
-                ratios[i, j] = 1.0
-            else:
-                ratios[i, j] = kld(projected[i], projected[j]) / full
+    for i, j in itertools.permutations(range(k), 2):
+        full = kld(params[i], params[j])
+        ratios[i, j] = 1.0 if full < _ZERO_KLD else kld(projected[i], projected[j]) / full
     return ratios
 
 
@@ -211,12 +206,7 @@ def plugin_classifier_train(train: LabeledDataset, a, ridge: float = 0.0) -> Plu
             )
     projected = LabeledDataset(train.samples @ a.T, train.labels)
     class_params = tuple(estimate_params(projected, int(lab), ridge) for lab in labels)
-    return PluginClassifier(
-        projection=a,
-        labels=labels,
-        class_params=class_params,
-        priors=counts / counts.sum(),
-    )
+    return PluginClassifier(a, labels, class_params, counts / counts.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +233,8 @@ class DensityGrid:
     peak_class2: float
 
     def contour_levels(self) -> tuple[float, float]:
-        return (
-            self.contour_level_fraction * self.peak_class1,
-            self.contour_level_fraction * self.peak_class2,
-        )
+        return (self.contour_level_fraction * self.peak_class1,
+                self.contour_level_fraction * self.peak_class2)
 
 
 def density_grid(
@@ -279,12 +267,9 @@ def density_grid(
     q2 = project_params(a, p2)
 
     if bounds is None:
-        spans = []
-        for axis in range(2):
-            los = [q.mean[axis] - 4.0 * np.sqrt(q.covariance[axis, axis]) for q in (q1, q2)]
-            his = [q.mean[axis] + 4.0 * np.sqrt(q.covariance[axis, axis]) for q in (q1, q2)]
-            spans.append((min(los), max(his)))
-        bounds = tuple(spans)
+        half = [4.0 * np.sqrt(np.diag(q.covariance)) for q in (q1, q2)]
+        bounds = tuple(zip(np.minimum(q1.mean - half[0], q2.mean - half[1]),
+                           np.maximum(q1.mean + half[0], q2.mean + half[1])))
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     if not (x_lo < x_hi and y_lo < y_hi):
         raise DimensionMismatch(f"bounds must be increasing, got {bounds}")
@@ -295,12 +280,6 @@ def density_grid(
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     values1 = np.exp(log_density(q1, pts)).reshape(resolution, resolution)
     values2 = np.exp(log_density(q2, pts)).reshape(resolution, resolution)
-    return DensityGrid(
-        x_axis=x_axis,
-        y_axis=y_axis,
-        values_class1=values1,
-        values_class2=values2,
-        contour_level_fraction=float(contour_level_fraction),
-        peak_class1=float(np.exp(log_density(q1, q1.mean))),
-        peak_class2=float(np.exp(log_density(q2, q2.mean))),
-    )
+    return DensityGrid(x_axis, y_axis, values1, values2, float(contour_level_fraction),
+                       float(np.exp(log_density(q1, q1.mean))),
+                       float(np.exp(log_density(q2, q2.mean))))

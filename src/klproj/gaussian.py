@@ -13,6 +13,7 @@ before the divergences of interest do.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -47,8 +48,10 @@ class GaussianParams:
     Validation happens at construction: the mean must be finite, the
     covariance square with matching dimension, symmetric up to a relative
     1e-8 (it is stored symmetrized), and positive definite per
-    linalg.assert_spd, which computes eigenvalues only.  No factorization is
-    stored: a class pair is factored where it is used (projections._ClassPair).
+    linalg.assert_spd's rule, mostly certified by one Cholesky of a shifted
+    copy (linalg.certify_spd).  The covariance's Cholesky ``factor`` is kept
+    from first use: pairs (projections._ClassPair), kld, sampling and
+    densities all read it.
     """
 
     mean: np.ndarray
@@ -75,13 +78,18 @@ class GaussianParams:
                 f"covariance is not symmetric (asymmetry {asym:.3e})"
             )
         cov = (cov + cov.T) / 2.0
-        linalg.assert_spd(cov, "covariance")
+        linalg.certify_spd(cov, "covariance")
         object.__setattr__(self, "mean", mean.copy())
         object.__setattr__(self, "covariance", cov)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Lower Cholesky factor L of the covariance, L L^T = covariance."""
+        return np.linalg.cholesky(self.covariance)
 
 
 @dataclass(frozen=True)
@@ -166,8 +174,7 @@ def _check_same_dim(p1: GaussianParams, p2: GaussianParams) -> int:
 def _kld_pieces(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
     """(d_mu, d_sigma) via Cholesky: tr(S2^-1 S1) = |L2^-1 L1|_F^2, quad = |L2^-1 delta|^2."""
     d = _check_same_dim(p1, p2)
-    l1 = _cholesky(p1.covariance, "first covariance")
-    l2 = _cholesky(p2.covariance, "second covariance")
+    l1, l2 = p1.factor, p2.factor
     # factors of validated classes are finite: skip scipy's per-call scan
     trace = float(np.sum(solve_triangular(l2, l1, lower=True, check_finite=False) ** 2))
     quad = float(np.sum(solve_triangular(l2, p2.mean - p1.mean, lower=True, check_finite=False) ** 2))
@@ -241,8 +248,8 @@ def chernoff_information(p1: GaussianParams, p2: GaussianParams) -> float:
     classes.
     """
     _check_same_dim(p1, p2)
-    logdet1 = _chol_logdet(_cholesky(p1.covariance, "first covariance"))
-    logdet2 = _chol_logdet(_cholesky(p2.covariance, "second covariance"))
+    logdet1 = _chol_logdet(p1.factor)
+    logdet2 = _chol_logdet(p2.factor)
     delta = p2.mean - p1.mean
 
     def exponent(s: float) -> float:
@@ -323,10 +330,9 @@ def log_density(p: GaussianParams, x) -> np.ndarray | float:
     pts = np.atleast_2d(pts)
     if pts.shape[1] != p.dim:
         raise DimensionMismatch(f"points have dimension {pts.shape[1]}, class has {p.dim}")
-    l = _cholesky(p.covariance, "covariance")
-    y = solve_triangular(l, (pts - p.mean).T, lower=True)
+    y = solve_triangular(p.factor, (pts - p.mean).T, lower=True)
     quad = np.sum(y * y, axis=0)
-    out = -0.5 * (p.dim * _LOG_2PI + _chol_logdet(l) + quad)
+    out = -0.5 * (p.dim * _LOG_2PI + _chol_logdet(p.factor) + quad)
     return float(out[0]) if single else out
 
 

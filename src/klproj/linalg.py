@@ -2,11 +2,11 @@
 
 Everything downstream (divergence evaluation, projection construction,
 refinement) is built on the operations here: symmetric eigendecomposition
-with a deterministic ordering, SPD validation (eigenvalues only), SPD inverse
-square root, Cholesky whitening of a symmetric-definite pencil (the code a
-class pair in ``projections`` is factored with, once) and its generalized
-eigenvectors, row orthonormalization, and principal angles between row
-spaces.  All routines work in float64 and validate their inputs.
+with a deterministic ordering, SPD validation (one Cholesky; eigenvalues near
+the floor), SPD inverse square root, Cholesky whitening of a symmetric-definite
+pencil (the code a class pair in ``projections`` is factored with, once) and
+its generalized eigenvectors, row orthonormalization, and principal angles
+between row spaces.  All routines work in float64 and validate their inputs.
 """
 
 from dataclasses import dataclass
@@ -122,6 +122,23 @@ def assert_spd(m, name: str = "matrix") -> None:
     _reject_unless_spd(w[0], w[-1], name)
 
 
+def certify_spd(m: np.ndarray, name: str = "matrix") -> None:
+    """assert_spd's decision for a symmetric ``m``, from one Cholesky when possible.
+
+    hi = |m|_F bounds the largest eigenvalue.  If m - 2 SPD_RTOL max(1, hi) I
+    has a Cholesky factor, the smallest eigenvalue clears assert_spd's floor
+    by far more than rounding: accept.  Otherwise assert_spd decides, with
+    its message.
+    """
+    hi = np.sqrt(np.vdot(m, m))
+    shifted = m.copy()
+    shifted.flat[:: m.shape[0] + 1] -= 2.0 * SPD_RTOL * max(1.0, hi)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        assert_spd(m, name)
+
+
 def spd_inv_sqrt(m) -> np.ndarray:
     """Symmetric inverse square root of an SPD matrix.
 
@@ -154,14 +171,14 @@ class GenEigen:
 class WhitenedPencil:
     """The pencil (B, C) whitened once by the Cholesky factor C = L L^T.
 
-    ``factor`` is L and ``eig`` (U, lambda) the eigendecomposition of the
-    whitened L^-1 B L^-T (LAPACK sygst), the pencil's only d x d one.  The
-    unit generalized eigenvectors, the normalized columns of L^-T U
-    (``pencil``), are computed on first use.
+    ``factor`` is L (the caller's, if it holds one) and ``eig`` (U, lambda)
+    the eigendecomposition of the whitened L^-1 B L^-T (LAPACK sygst), the
+    pencil's only d x d one.  The unit generalized eigenvectors, the
+    normalized columns of L^-T U (``pencil``), are computed on first use.
     """
 
-    def __init__(self, b, c):
-        self.factor = np.linalg.cholesky(c)
+    def __init__(self, b, c, factor: np.ndarray | None = None):
+        self.factor = np.linalg.cholesky(c) if factor is None else factor
         # sygst leaves L^-1 B L^-T in the lower triangle, the one eigh reads
         w, _ = scipy.linalg.lapack.dsygst(b, self.factor, itype=1, lower=1)
         self.eig = _descending(*np.linalg.eigh(w))
@@ -189,9 +206,10 @@ def generalized_eig(b, c) -> GenEigen:
     c = _as_square(c, "C")
     if b.shape != c.shape:
         raise DimensionMismatch(f"B and C must agree in shape, got {b.shape} and {c.shape}")
-    assert_spd(b, "B")
-    assert_spd(c, "C")
-    return WhitenedPencil(_symmetrized(b), _symmetrized(c)).pencil
+    b, c = _symmetrized(b), _symmetrized(c)
+    certify_spd(b, "B")
+    certify_spd(c, "C")
+    return WhitenedPencil(b, c).pencil
 
 
 # ---------------------------------------------------------------------------

@@ -164,15 +164,16 @@ def _basis_with_first_row(v: np.ndarray) -> np.ndarray:
 class _ClassPair(linalg.WhitenedPencil):
     """A class pair factored once: the pencil (S2, S1) whitened by S1 = L L^T.
 
-    x -> L^-1 (x - m1) maps the pair to N(0, I) vs N(``whitened_mean``,
-    L^-1 S2 L^-T).  alg1, alg2 and the regime rule (``split``) all read the
-    one eigendecomposition U, lambda of L^-1 S2 L^-T (``eig``).  A pair
-    lives only as long as the call that built it.
+    L is class 1's cached ``factor``, which kld reads too.  x -> L^-1 (x - m1)
+    maps the pair to N(0, I) vs N(``whitened_mean``, L^-1 S2 L^-T).  alg1,
+    alg2 and the regime rule (``split``) all read the one eigendecomposition
+    U, lambda of L^-1 S2 L^-T (``eig``).  A pair lives only as long as the
+    call that built it.
     """
 
     def __init__(self, p1: GaussianParams, p2: GaussianParams):
         _check_same_dim(p1, p2)
-        super().__init__(p2.covariance, p1.covariance)
+        super().__init__(p2.covariance, p1.covariance, p1.factor)
         self.p1, self.p2 = p1, p2
         self.whitened_mean = solve_triangular(self.factor, p2.mean - p1.mean, lower=True)
 

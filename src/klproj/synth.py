@@ -153,6 +153,5 @@ def sample(params: GaussianParams, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise NonPositiveInput(f"n must be >= 1, got {n}")
     rng = rng_from_seed(seed)
-    l = np.linalg.cholesky(params.covariance)
     z = rng.standard_normal((int(n), params.dim))
-    return params.mean + z @ l.T
+    return params.mean + z @ params.factor.T

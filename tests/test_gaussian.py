@@ -19,6 +19,7 @@ from klproj import (
     pooled_covariance,
     project_params,
 )
+from klproj.linalg import SPD_RTOL, assert_spd
 from klproj.errors import (
     DimensionMismatch,
     InsufficientSamples,
@@ -60,6 +61,65 @@ class TestGaussianParams:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             GaussianParams(np.zeros(2), np.diag([1.0, -1.0]))
+
+
+def spd_outcome(build):
+    """None when ``build()`` accepts, else the NotPositiveDefinite message."""
+    try:
+        build()
+    except NotPositiveDefinite as exc:
+        return str(exc)
+    return None
+
+
+def rotated(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.standard_normal((eigenvalues.size, eigenvalues.size)))
+    return q @ np.diag(eigenvalues) @ q.T
+
+
+class TestValidationDecision:
+    """GaussianParams accepts and rejects exactly as assert_spd's eigenvalue rule."""
+
+    def assert_same_decision(self, cov):
+        ours = spd_outcome(lambda: GaussianParams(np.zeros(cov.shape[0]), cov))
+        reference = spd_outcome(lambda: assert_spd(cov, "covariance"))
+        assert ours == reference
+        return ours
+
+    @pytest.mark.parametrize("d", [2, 50, 300])
+    @pytest.mark.parametrize("largest", [0.5, 20.0])
+    def test_rotated_spectra_around_the_floor(self, d, largest):
+        rng = np.random.default_rng(1000 + d)
+        floor = SPD_RTOL * max(1.0, largest)
+        decisions = []
+        for factor in (0.5, 1.0, 1.001, 2.0, 3.0, 50.0, 1e3):
+            lam = np.concatenate([[largest], rng.uniform(0.1, 1.0, d - 2) * largest,
+                                  [factor * floor]])
+            decisions.append(self.assert_same_decision(rotated(rng, lam)))
+        # the sweep straddles the floor: far below it rejects, far above accepts
+        assert "smallest eigenvalue" in decisions[0]
+        assert decisions[-1] is None
+
+    # at 1e200 the Frobenius norm bounding the largest eigenvalue overflows
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1e150, 1e200])
+    def test_scale_extremes(self, scale):
+        rng = np.random.default_rng(7)
+        for d in (2, 50):
+            self.assert_same_decision(rotated(rng, rng.uniform(1.0, 10.0, d)) * scale)
+
+    def test_indefinite_and_singular(self):
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal(6)
+        for cov in (rotated(rng, np.array([3.0, 1.0, -0.5, 2.0])), np.outer(v, v)):
+            assert "smallest eigenvalue" in self.assert_same_decision(cov)
+
+    @pytest.mark.parametrize("largest", [0.5, 4.0])
+    def test_boundary_of_the_relative_floor(self, largest):
+        floor = SPD_RTOL * max(1.0, largest)
+        GaussianParams(np.zeros(2), np.diag([largest, np.nextafter(floor, 1.0)]))
+        with pytest.raises(NotPositiveDefinite, match="smallest eigenvalue"):
+            GaussianParams(np.zeros(2), np.diag([largest, floor]))
 
 
 class TestKld:

@@ -474,6 +474,32 @@ class TestPairFactoredOnce:
                 assert len(calls) == 1
         assert splits == []
 
+    def record_args(self, monkeypatch, name):
+        args_seen, kernel = [], getattr(np.linalg, name)
+
+        def recorded(a, *args, **kwargs):
+            args_seen.append(a)
+            return kernel(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+        return args_seen
+
+    def test_fit_job_factors_each_covariance_once(self, monkeypatch):
+        # validate two classes from raw arrays, fit_auto, then kld: the pair's
+        # one eigh, no eigenvalue-only validation, one kept factor per class
+        raw = [(p.mean.copy(), p.covariance.copy()) for p in channel_pair()]
+        eigh_args = self.record_args(monkeypatch, "eigh")
+        eigvalsh_args = self.record_args(monkeypatch, "eigvalsh")
+        cholesky_args = self.record_args(monkeypatch, "cholesky")
+        p1, p2 = (GaussianParams(m, c) for m, c in raw)
+        fit_auto(p1, p2, 2)
+        kld(p1, p2)
+        assert len(eigvalsh_args) == 0
+        assert sum(np.shape(a) == (40, 40) for a in eigh_args) == 1
+        assert [sum(a is p.covariance for a in cholesky_args) for p in (p1, p2)] == [1, 1]
+        # the other two are the validation certificates, on shifted copies
+        assert sum(np.shape(a) == (40, 40) for a in cholesky_args) == 4
+
     def test_sweep_factors_the_pair_once(self, monkeypatch):
         p1, p2 = channel_pair()
         calls = self.count_full_eighs(monkeypatch, p1.dim)
