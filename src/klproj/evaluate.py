@@ -100,7 +100,8 @@ def sweep_r(
     single direction and is only emitted at r = 1.  With refine=True each
     closed-form result seeds a gradient ascent run whose retained divergence
     is added under the tag "<method>_refined".  The class pair is factored
-    once and serves every r, as does lol's pooled eigendecomposition.  The
+    once and serves every r, as does lol's pooled eigendecomposition; when
+    alg1 or alg2 is swept, full_kld is the pair's split total as well.  The
     table is validated before it is returned.
     """
     methods = sorted(set(methods))
@@ -111,8 +112,8 @@ def sweep_r(
     if not r_values or not methods:
         raise ValueError("need at least one method and one r value")
 
-    full = kld(p1, p2)
     pair = _ClassPair(p1, p2) if {"alg1", "alg2"} & set(methods) else None
+    full = kld(p1, p2) if pair is None else pair.split.total
     pooled = sym_eig((p1.covariance + p2.covariance) / 2.0) if "lol" in methods else None
     fitters = {
         "alg1": lambda r: _mean_first(pair, r),

@@ -72,10 +72,12 @@ class GaussianParams:
             )
         if not np.all(np.isfinite(cov)):
             raise NonFiniteInput("covariance contains NaN or infinite entries")
-        asym = np.linalg.norm(cov - cov.T)
-        if asym > linalg.SYM_RTOL * max(np.linalg.norm(cov), 1e-300):
+        # both norms on copies scaled to max |C| = 1, where neither can overflow
+        scale = max(cov.max(initial=0.0), -cov.min(initial=0.0)) or 1.0
+        asym = np.linalg.norm((cov - cov.T) / scale) / max(np.linalg.norm(cov / scale), 1e-300)
+        if asym > linalg.SYM_RTOL:
             raise NotPositiveDefinite(
-                f"covariance is not symmetric (asymmetry {asym:.3e})"
+                f"covariance is not symmetric (relative asymmetry {asym:.3e})"
             )
         cov = (cov + cov.T) / 2.0
         linalg.certify_spd(cov, "covariance")

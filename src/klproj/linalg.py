@@ -6,7 +6,10 @@ with a deterministic ordering, SPD validation (one Cholesky; eigenvalues near
 the floor), SPD inverse square root, Cholesky whitening of a symmetric-definite
 pencil (the code a class pair in ``projections`` is factored with, once) and
 its generalized eigenvectors, row orthonormalization, and principal angles
-between row spaces.  All routines work in float64 and validate their inputs.
+between row spaces.  The whitened pencil's eigenbasis stays implicit: its
+tridiagonalizing Q is kept as Householder reflectors and eigenvector columns
+are formed only when read.  All routines work in float64 and validate their
+inputs.
 """
 
 from dataclasses import dataclass
@@ -14,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite, RankDeficient
 
@@ -171,27 +175,63 @@ class GenEigen:
 class WhitenedPencil:
     """The pencil (B, C) whitened once by the Cholesky factor C = L L^T.
 
-    ``factor`` is L (the caller's, if it holds one) and ``eig`` (U, lambda)
-    the eigendecomposition of the whitened L^-1 B L^-T (LAPACK sygst), the
-    pencil's only d x d one.  The unit generalized eigenvectors, the
-    normalized columns of L^-T U (``pencil``), are computed on first use.
+    ``factor`` is L (the caller's, if it holds one).  The whitened
+    W = L^-1 B L^-T (LAPACK sygst) is reduced in place to a tridiagonal
+    T = Q^T W Q (sytrd), whose eigensystem T = Z diag(lambda) Z^T (stevd)
+    gives W = U diag(lambda) U^T with U = Q Z and ``eigenvalues`` lambda
+    descending.  Q is kept as its Householder reflectors, so U is never
+    formed whole: ``columns``, ``coords`` and ``combine`` apply Q (ormqr) to
+    only what they read.  The unit generalized eigenvectors, the normalized
+    columns of L^-T U (``pencil_vectors``), are formed on demand; ``pencil``
+    holds all of them, for readers of every column.
     """
 
     def __init__(self, b, c, factor: np.ndarray | None = None):
         self.factor = np.linalg.cholesky(c) if factor is None else factor
-        # sygst leaves L^-1 B L^-T in the lower triangle, the one eigh reads
-        w, _ = scipy.linalg.lapack.dsygst(b, self.factor, itype=1, lower=1)
-        self.eig = _descending(*np.linalg.eigh(w))
+        n = self.factor.shape[0]
+        # sygst leaves W in the lower triangle, which sytrd reduces in place
+        w, _ = lapack.dsygst(b, self.factor, itype=1, lower=1)
+        lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+        w, diag, off, self._tau, _ = lapack.dsytrd(w, lower=1, lwork=int(lwork), overwrite_a=1)
+        # Q = diag(1, Q'): Q' is the Q of a QR factor whose reflectors sit one row down
+        self._reflectors = np.asfortranarray(w[1:, :-1])
+        # stevd wants a one-entry off-diagonal at n = 1
+        tri = _descending(*lapack.dstevd(diag, off if n > 1 else np.zeros(1))[:2])
+        self.eigenvalues, self._z = tri.eigenvalues, tri.eigenvectors
+
+    def _apply_q(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Q x (trans "N") or Q^T x (trans "T") for the columns of x, as a new array."""
+        x = np.array(x, order="F")
+        if self._tau.size:
+            args = ("L", trans, self._reflectors, self._tau)
+            lwork = lapack.dormqr(*args, x[1:], -1)[1][0]
+            x[1:] = lapack.dormqr(*args, x[1:], int(lwork))[0]
+        return x
+
+    def columns(self, idx) -> np.ndarray:
+        """U[:, idx] = Q Z[:, idx]: eigenvectors of W, as columns."""
+        return self._apply_q(self._z[:, idx])
+
+    def coords(self, v: np.ndarray) -> np.ndarray:
+        """U^T v = Z^T Q^T v: a whitened-frame vector in the eigenbasis."""
+        return self._z.T @ self._apply_q(v[:, None], "T")[:, 0]
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """U c = Q Z c: the whitened-frame vector with eigenbasis coordinates c."""
+        return self._apply_q((self._z @ c)[:, None])[:, 0]
 
     def unwhiten(self, u: np.ndarray) -> np.ndarray:
         """L^-T u: whitened-frame directions (columns) as original-frame ones."""
         return scipy.linalg.solve_triangular(self.factor, u, lower=True, trans="T")
 
+    def pencil_vectors(self, idx) -> np.ndarray:
+        """Unit generalized eigenvectors: the normalized columns of L^-T U[:, idx]."""
+        vecs = self.unwhiten(self.columns(idx))
+        return vecs / np.linalg.norm(vecs, axis=0)
+
     @cached_property
     def pencil(self) -> GenEigen:
-        vecs = self.unwhiten(self.eig.eigenvectors)
-        return GenEigen(eigenvalues=self.eig.eigenvalues,
-                        eigenvectors=vecs / np.linalg.norm(vecs, axis=0))
+        return GenEigen(eigenvalues=self.eigenvalues, eigenvectors=self.pencil_vectors(slice(None)))
 
 
 def generalized_eig(b, c) -> GenEigen:

@@ -135,19 +135,23 @@ def _ranked(scores: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.lexsort((idx, -np.abs(lam - 1.0), -scores))
 
 
-def _greedy_fill(rows: list[np.ndarray], candidates: np.ndarray, order: np.ndarray,
-                 scores: np.ndarray, r: int) -> tuple[list[np.ndarray], list[float]]:
-    """Append candidate columns (in ranked order) keeping the stack full rank."""
+def _greedy_fill(rows: list[np.ndarray], candidates, r: int) -> tuple[list[np.ndarray], list[float]]:
+    """Append (vector, score) candidates in order, keeping the stack full rank, up to r rows.
+
+    ``candidates`` is read lazily and no further than the r-th row.  Rank
+    is relative, so the given rows are normalized first (candidates come
+    at unit length): no scale of theirs hides a row or every candidate.
+    """
+    rows = [v / np.linalg.norm(v) for v in rows]
     picked_scores: list[float] = []
-    for j in order:
-        if len(rows) == r:
-            break
-        trial = np.vstack(rows + [candidates[:, j]]) if rows else candidates[:, j][None, :]
-        if linalg.numerical_rank(trial) == len(rows) + 1:
-            rows.append(candidates[:, j])
-            picked_scores.append(float(scores[j]))
-    if len(rows) < r:
-        raise NumericalError(f"could not assemble {r} independent projection rows")
+    remaining = iter(candidates)
+    while len(rows) < r:
+        vec, score = next(remaining, (None, 0.0))
+        if vec is None:
+            raise NumericalError(f"could not assemble {r} independent projection rows")
+        if linalg.numerical_rank(np.vstack(rows + [vec])) == len(rows) + 1:
+            rows.append(vec)
+            picked_scores.append(float(score))
     return rows, picked_scores
 
 
@@ -167,8 +171,9 @@ class _ClassPair(linalg.WhitenedPencil):
     L is class 1's cached ``factor``, which kld reads too.  x -> L^-1 (x - m1)
     maps the pair to N(0, I) vs N(``whitened_mean``, L^-1 S2 L^-T).  alg1,
     alg2 and the regime rule (``split``) all read the one eigendecomposition
-    U, lambda of L^-1 S2 L^-T (``eig``).  A pair lives only as long as the
-    call that built it.
+    U, lambda of L^-1 S2 L^-T: all of lambda and ``eig_mean``, but only the
+    columns of U they select, formed on demand from U's kept reflectors.  A
+    pair lives only as long as the call that built it.
     """
 
     def __init__(self, p1: GaussianParams, p2: GaussianParams):
@@ -176,23 +181,20 @@ class _ClassPair(linalg.WhitenedPencil):
         super().__init__(p2.covariance, p1.covariance, p1.factor)
         self.p1, self.p2 = p1, p2
         self.whitened_mean = solve_triangular(self.factor, p2.mean - p1.mean, lower=True)
-
-    @property
-    def eig_mean(self) -> np.ndarray:
-        """m = U^T whitened_mean: the mean offset along each whitened eigendirection."""
-        return self.eig.eigenvectors.T @ self.whitened_mean
+        # m = U^T whitened_mean: the mean offset along each whitened eigendirection
+        self.eig_mean = self.coords(self.whitened_mean)
 
     @property
     def split(self) -> KldBreakdown:
         """kld_split off the spectrum: d_mu = sum m_i^2 / (2 lambda_i), d_sigma = sum g(lambda_i)."""
-        lam = self.eig.eigenvalues
+        lam = self.eigenvalues
         d_mu = 0.5 * float(np.sum(self.eig_mean**2 / lam))
         d_sigma = max(0.0, float(np.sum(g_score(lam))))  # terms >= 0 up to rounding
         return KldBreakdown(total=d_mu + d_sigma, d_mu=d_mu, d_sigma=d_sigma)
 
     def whitened_axes(self) -> tuple[GaussianParams, GaussianParams]:
         """The pair along U, axes in alg2's order: N(0, I) vs N(m, diag(lambda))."""
-        lam, m = self.eig.eigenvalues, self.eig_mean
+        lam, m = self.eigenvalues, self.eig_mean
         order = _ranked(component_kld(m, lam), lam)
         return (GaussianParams(np.zeros(lam.size), np.eye(lam.size)),
                 GaussianParams(m[order], np.diag(lam[order])))
@@ -241,9 +243,9 @@ def mean_first_projection(p1: GaussianParams, p2: GaussianParams, r: int) -> Pro
 def _mean_first(pair: _ClassPair, r: int) -> ProjectionResult:
     p1, p2 = pair.p1, pair.p2
     r = _check_r(r, p1.dim)
-    pencil = pair.pencil
-    scores = g_score(pencil.eigenvalues)
-    order = _ranked(scores, pencil.eigenvalues)
+    lam = pair.eigenvalues
+    scores = g_score(lam)
+    order = _ranked(scores, lam)
 
     warnings: tuple = ()
     rows: list[np.ndarray] = []
@@ -254,8 +256,8 @@ def _mean_first(pair: _ClassPair, r: int) -> ProjectionResult:
         )
     else:
         # S2^-1 (m2 - m1) = L^-T U diag(1 / lambda) U^T L^-1 (m2 - m1)
-        rows.append(pair.unwhiten(pair.eig.eigenvectors @ (pair.eig_mean / pencil.eigenvalues)))
-    rows, picked = _greedy_fill(rows, pencil.eigenvectors, order, scores, r)
+        rows.append(pair.unwhiten(pair.combine(pair.eig_mean / lam)))
+    rows, picked = _greedy_fill(rows, _pencil_candidates(pair, order, scores, r), r)
     matrix = linalg.orthonormalize_rows(np.vstack(rows))
     return ProjectionResult(
         matrix=matrix,
@@ -265,6 +267,15 @@ def _mean_first(pair: _ClassPair, r: int) -> ProjectionResult:
         component_scores=tuple(picked),
         warnings=warnings,
     )
+
+
+def _pencil_candidates(pair: _ClassPair, order: np.ndarray, scores: np.ndarray, r: int):
+    """(unit pencil vector, score) in ``order``, formed in blocks of r, 2r, 4r, ... as read."""
+    start, size = 0, r
+    while start < order.size:
+        block = order[start:start + size]
+        yield from zip(pair.pencil_vectors(block).T, scores[block])
+        start, size = start + size, 2 * size
 
 
 def whitened_component_projection(p1: GaussianParams, p2: GaussianParams, r: int) -> ProjectionResult:
@@ -293,17 +304,17 @@ def whitened_component_projection(p1: GaussianParams, p2: GaussianParams, r: int
 def _whitened_component(pair: _ClassPair, r: int) -> ProjectionResult:
     d = pair.p1.dim
     r = _check_r(r, d)
-    eig = pair.eig
-    if np.linalg.norm(eig.eigenvalues - 1.0) < 1e-8 * d:
+    lam = pair.eigenvalues
+    if np.linalg.norm(lam - 1.0) < 1e-8 * d:
         offset = float(np.linalg.norm(pair.whitened_mean))
         if offset < 1e-12:
             raise IdenticalDistributions("classes are numerically indistinguishable after whitening")
         matrix = _basis_with_first_row(pair.whitened_mean / offset)[:r]
         picked = (0.5 * offset**2,) + (0.0,) * (r - 1)
     else:
-        scores = component_kld(pair.eig_mean, eig.eigenvalues)
-        sel = _ranked(scores, eig.eigenvalues)[:r]
-        matrix = eig.eigenvectors[:, sel].T
+        scores = component_kld(pair.eig_mean, lam)
+        sel = _ranked(scores, lam)[:r]
+        matrix = pair.columns(sel).T
         picked = tuple(float(v) for v in scores[sel])
     return ProjectionResult(
         matrix=matrix,
@@ -395,8 +406,7 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
     s_mu = centered.T @ centered
 
     whitened = linalg.WhitenedPencil(s_mu, sigma)
-    eig = whitened.eig
-    lam = eig.eigenvalues
+    lam = whitened.eigenvalues
     available = int(np.count_nonzero(lam > linalg.RANK_RTOL * max(lam[0], 0.0)))
     if available == 0:
         raise RankDeficientMeans("all class means coincide; no between-means direction exists")
@@ -408,7 +418,7 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
             f"{available} rows instead of {r}",
         )
         r = available
-    matrix = linalg.orthonormalize_rows(whitened.unwhiten(eig.eigenvectors[:, :r]).T)
+    matrix = linalg.orthonormalize_rows(whitened.unwhiten(whitened.columns(slice(r))).T)
     achieved = sum(kld_projected(matrix, pi, pj) for pi, pj in permutations(params, 2))
     return ProjectionResult(
         matrix=matrix,
@@ -442,7 +452,6 @@ def lol_projection(
 
 def _lol(p1: GaussianParams, p2: GaussianParams, r: int, eig: linalg.SymEigen) -> ProjectionResult:
     r = _check_r(r, p1.dim)
-    order = np.arange(eig.eigenvalues.size)
 
     warnings: tuple = ()
     rows: list[np.ndarray] = []
@@ -452,7 +461,7 @@ def _lol(p1: GaussianParams, p2: GaussianParams, r: int, eig: linalg.SymEigen) -
         )
     else:
         rows.append(p2.mean - p1.mean)
-    rows, _ = _greedy_fill(rows, eig.eigenvectors, order, eig.eigenvalues, r)
+    rows, _ = _greedy_fill(rows, zip(eig.eigenvectors.T, eig.eigenvalues), r)
     matrix = linalg.orthonormalize_rows(np.vstack(rows))
     return ProjectionResult(
         matrix=matrix,

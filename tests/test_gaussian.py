@@ -45,6 +45,22 @@ class TestGaussianParams:
         with pytest.raises(NotPositiveDefinite):
             GaussianParams(np.zeros(2), cov)
 
+    def test_asymmetry_is_judged_at_any_scale(self):
+        cov = np.array([[3.0, 1.0], [0.0, 3.0]])
+        messages = []
+        for scale in (1.0, 1e200):
+            with pytest.raises(NotPositiveDefinite, match="not symmetric") as exc:
+                GaussianParams(np.zeros(2), scale * cov)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_symmetric_huge_covariance_is_left_to_the_spd_rule(self):
+        for cov in (np.array([[3.0, 1.0], [1.0, 3.0]]), np.array([[1.0, 2.0], [2.0, 1.0]])):
+            huge = 1e200 * cov
+            assert spd_outcome(lambda: GaussianParams(np.zeros(2), huge)) == spd_outcome(
+                lambda: assert_spd(huge, "covariance"))
+
     def test_symmetrizes_roundoff_asymmetry(self):
         cov = np.array([[2.0, 0.3], [0.3 + 1e-13, 1.0]])
         p = GaussianParams(np.zeros(2), cov)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from klproj.errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite, RankDeficient
 from klproj.linalg import (
     SPD_RTOL,
+    WhitenedPencil,
     assert_spd,
     generalized_eig,
     numerical_rank,
@@ -114,6 +116,50 @@ class TestGeneralizedEig:
         fwd = generalized_eig(b, c)
         rev = generalized_eig(c, b)
         np.testing.assert_allclose(np.sort(fwd.eigenvalues), np.sort(1.0 / rev.eigenvalues), atol=1e-10)
+
+
+def whitened(b, c):
+    """L^-1 B L^-T for C = L L^T, formed directly."""
+    l = np.linalg.cholesky(c)
+    half = scipy.linalg.solve_triangular(l, b, lower=True)
+    w = scipy.linalg.solve_triangular(l, half.T, lower=True)
+    return (w + w.T) / 2.0
+
+
+class TestImplicitEigenbasis:
+    """WhitenedPencil's reflector-kept eigenbasis against eigh of the whitened matrix."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 50])
+    def test_matches_eigh_up_to_column_sign(self, d):
+        rng = np.random.default_rng(40 + d)
+        b, c = rand_spd(rng, d, 0.5, 20.0), rand_spd(rng, d)
+        pencil = WhitenedPencil(b, c)
+        w, u = np.linalg.eigh(whitened(b, c))
+        lam, u = w[::-1], u[:, ::-1]
+        np.testing.assert_allclose(pencil.eigenvalues, lam, rtol=1e-13)
+        cols = pencil.columns(slice(None))
+        signs = np.sign(np.sum(cols * u, axis=0))
+        np.testing.assert_allclose(cols, u * signs, atol=1e-10)
+        sel = rng.permutation(d)[: max(1, d // 2)]
+        np.testing.assert_allclose(pencil.columns(sel), (u * signs)[:, sel], atol=1e-10)
+        v, coeffs = rng.standard_normal(d), rng.standard_normal(d)
+        np.testing.assert_allclose(pencil.coords(v), signs * (u.T @ v), atol=1e-10)
+        np.testing.assert_allclose(pencil.combine(coeffs), u @ (signs * coeffs), atol=1e-10)
+        vecs = np.linalg.solve(np.linalg.cholesky(c).T, u)
+        np.testing.assert_allclose(pencil.pencil.eigenvectors,
+                                   vecs / np.linalg.norm(vecs, axis=0) * signs, atol=1e-10)
+
+    @pytest.mark.parametrize("factor", [2.0, 1e100])
+    def test_proportional_pencil_is_an_orthonormal_eigenbasis(self, factor):
+        # every eigenvalue is `factor`: any orthonormal basis is an eigenbasis
+        rng = np.random.default_rng(17)
+        c = rand_spd(rng, 30)
+        pencil = WhitenedPencil(factor * c, c)
+        w = whitened(factor * c, c)
+        u = pencil.columns(slice(None))
+        np.testing.assert_allclose(u.T @ u, np.eye(30), atol=1e-13)
+        residual = np.linalg.norm(w @ u - u * pencil.eigenvalues, axis=0)
+        assert np.max(residual) <= 1e-12 * np.linalg.norm(w, 2)
 
 
 class TestOrthonormalizeRows:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from klproj import (
     GaussianParams,
@@ -448,30 +449,31 @@ class TestPairFactoredOnce:
         for method, r, value in table.rows:
             assert value == standalone[method](p1, p2, r).achieved_kld
 
-    def count_full_eighs(self, monkeypatch, d):
-        calls = []
-        eigh = np.linalg.eigh
+    def count_full(self, monkeypatch, owner, name, d):
+        calls, kernel = [], getattr(owner, name)
 
         def counted(a, *args, **kwargs):
             if np.shape(a)[-1] == d:
                 calls.append(1)
-            return eigh(a, *args, **kwargs)
+            return kernel(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(owner, name, counted)
         return calls
 
     def test_fit_auto_factors_the_pair_once(self, monkeypatch):
         p1, p2 = channel_pair()
-        calls = self.count_full_eighs(monkeypatch, p1.dim)
+        eighs = self.count_full(monkeypatch, np.linalg, "eigh", p1.dim)
+        sytrds = self.count_full(monkeypatch, scipy.linalg.lapack, "dsytrd", p1.dim)
         splits = []
         for module in (gaussian, projections):
             monkeypatch.setattr(module, "kld_split", lambda *args: splits.append(args))
         for mode in ("rule", "compare"):
             for r in (1, 2):
-                calls.clear()
+                sytrds.clear()
                 fit_auto(p1, p2, r, mode=mode)
-                # the whitened class-2 covariance, the regime split read off it
-                assert len(calls) == 1
+                # the whitened class-2 covariance, the regime split read off its spectrum
+                assert len(sytrds) == 1
+        assert eighs == []
         assert splits == []
 
     def record_args(self, monkeypatch, name):
@@ -486,8 +488,10 @@ class TestPairFactoredOnce:
 
     def test_fit_job_factors_each_covariance_once(self, monkeypatch):
         # validate two classes from raw arrays, fit_auto, then kld: the pair's
-        # one eigh, no eigenvalue-only validation, one kept factor per class
+        # one tridiagonal reduction, no eigenvalue-only validation, one kept
+        # factor per class
         raw = [(p.mean.copy(), p.covariance.copy()) for p in channel_pair()]
+        sytrds = self.count_full(monkeypatch, scipy.linalg.lapack, "dsytrd", 40)
         eigh_args = self.record_args(monkeypatch, "eigh")
         eigvalsh_args = self.record_args(monkeypatch, "eigvalsh")
         cholesky_args = self.record_args(monkeypatch, "cholesky")
@@ -495,17 +499,28 @@ class TestPairFactoredOnce:
         fit_auto(p1, p2, 2)
         kld(p1, p2)
         assert len(eigvalsh_args) == 0
-        assert sum(np.shape(a) == (40, 40) for a in eigh_args) == 1
+        assert len(sytrds) == 1
+        assert sum(np.shape(a) == (40, 40) for a in eigh_args) == 0
         assert [sum(a is p.covariance for a in cholesky_args) for p in (p1, p2)] == [1, 1]
         # the other two are the validation certificates, on shifted copies
         assert sum(np.shape(a) == (40, 40) for a in cholesky_args) == 4
 
     def test_sweep_factors_the_pair_once(self, monkeypatch):
         p1, p2 = channel_pair()
-        calls = self.count_full_eighs(monkeypatch, p1.dim)
+        eighs = self.count_full(monkeypatch, np.linalg, "eigh", p1.dim)
+        sytrds = self.count_full(monkeypatch, scipy.linalg.lapack, "dsytrd", p1.dim)
         sweep_r(p1, p2, ["alg1", "alg2", "lol"], range(1, 6))
-        # the pair's one, plus lol's pooled covariance
-        assert len(calls) == 2
+        # the pair's one reduction; lol's pooled covariance is the one eigh
+        assert len(sytrds) == 1
+        assert len(eighs) == 1
+
+    def test_sweep_reads_the_full_divergence_off_the_pair(self):
+        p1, p2 = channel_pair()
+        table = sweep_r(p1, p2, ["alg1", "alg2"], range(1, 6))
+        # no kld call: class 2's covariance was never factored
+        assert "factor" not in vars(p2)
+        assert table.full_kld == pytest.approx(kld(p1, p2), rel=1e-13)
+        assert sweep_r(p1, p2, ["lol"], [1, 2]).full_kld == kld(p1, p2)
 
     @pytest.mark.parametrize("make_pair", [channel_pair, proportional_pair, near_identity_pair])
     def test_split_read_off_the_spectrum(self, make_pair):
@@ -517,3 +532,71 @@ class TestPairFactoredOnce:
         for r in (2, 3, 5):
             rule = select_regime(p1, p2, r).recommendation
             assert fit_auto(p1, p2, r, mode="rule").method == rule
+
+
+def scaled_proportional_pair(offset_scale=1.0, cov_scale=1.0, d=10, seed=331):
+    """S2 = 2 S1; the offset scaled by offset_scale, the pair by x -> sqrt(cov_scale) x."""
+    s1 = random_spd(SpdSpec(d, 0.5, 4.0, seed))
+    offset = np.random.default_rng(seed).standard_normal(d)
+    return (GaussianParams(np.zeros(d), cov_scale * s1),
+            GaussianParams(math.sqrt(cov_scale) * offset_scale * offset, 2.0 * cov_scale * s1))
+
+
+class TestScaleRobustFill:
+    """The first row enters the fill at unit length: no scale hides it or the candidates."""
+
+    @pytest.mark.parametrize("offset_scale, cov_scale", [(1e12, 1.0), (1e-12, 1.0), (1.0, 1e30)])
+    @pytest.mark.parametrize("fit", [mean_first_projection, lol_projection, fit_auto])
+    def test_three_independent_rows(self, fit, offset_scale, cov_scale):
+        p1, p2 = scaled_proportional_pair(offset_scale, cov_scale)
+        res = fit(p1, p2, 3)
+        rows = res.in_original_frame()
+        np.testing.assert_allclose(rows @ rows.T, np.eye(3), atol=1e-12)
+        assert res.achieved_kld == pytest.approx(kld_projected(rows, p1, p2), rel=1e-10)
+        if offset_scale == 1.0:
+            # the divergence does not see x -> c x
+            reference = fit(*scaled_proportional_pair(), 3)
+            assert res.achieved_kld == pytest.approx(reference.achieved_kld, rel=1e-10)
+
+
+class TestPencilCandidates:
+    """alg1 unwhitens only the pencil vectors its fill reaches, and picks what a fill over all picks."""
+
+    def test_dependent_top_candidate_is_skipped_as_in_a_full_fill(self):
+        # x -> A x of S1 = I, S2 = diag(lam), offset 3 e1: the pencil vectors are
+        # A^-T e_i, and S2^-1 (m2 - m1) lies along the top-ranked one, A^-T e1
+        rng = np.random.default_rng(341)
+        a = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
+        lam = np.array([4.0, 0.5, 2.0, 1.5, 1.2, 0.9])
+        p1 = GaussianParams(np.ones(6), a @ a.T)
+        p2 = GaussianParams(np.ones(6) + 3.0 * a[:, 0], a @ np.diag(lam) @ a.T)
+        pair = _ClassPair(p1, p2)
+        scores = g_score(pair.eigenvalues)
+        order = projections._ranked(scores, pair.eigenvalues)
+        first = np.linalg.solve(p2.covariance, p2.mean - p1.mean)
+        full = zip(pair.pencil.eigenvectors[:, order].T, scores[order])
+        rows, picked = projections._greedy_fill([first / np.linalg.norm(first)], full, 4)
+        res = mean_first_projection(p1, p2, 4)
+        assert res.component_scores == tuple(picked) == tuple(scores[order[1:4]])
+        assert np.max(principal_angles(res.matrix, np.vstack(rows))) < 1e-10
+
+    def test_blocks_cover_every_pencil_vector_in_order(self):
+        pair = _ClassPair(*channel_pair())
+        scores = g_score(pair.eigenvalues)
+        order = projections._ranked(scores, pair.eigenvalues)
+        vecs, got = zip(*projections._pencil_candidates(pair, order, scores, 1))
+        assert list(got) == list(scores[order])
+        np.testing.assert_allclose(np.array(vecs).T, pair.pencil.eigenvectors[:, order], atol=1e-12)
+
+    def test_unwhitens_only_the_columns_read(self, monkeypatch):
+        p1, p2 = channel_pair()
+        widths, unwhiten = [], projections.linalg.WhitenedPencil.unwhiten
+
+        def recorded(self, u):
+            widths.append(1 if np.ndim(u) == 1 else np.shape(u)[1])
+            return unwhiten(self, u)
+
+        monkeypatch.setattr(projections.linalg.WhitenedPencil, "unwhiten", recorded)
+        mean_first_projection(p1, p2, 2)
+        # the first row, then one block of r = 2 candidates
+        assert widths == [1, 2]
