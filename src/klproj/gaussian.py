@@ -72,12 +72,15 @@ class GaussianParams:
             )
         if not np.all(np.isfinite(cov)):
             raise NonFiniteInput("covariance contains NaN or infinite entries")
-        # both norms on copies scaled to max |C| = 1, where neither can overflow
-        scale = max(cov.max(initial=0.0), -cov.min(initial=0.0)) or 1.0
-        asym = np.linalg.norm((cov - cov.T) / scale) / max(np.linalg.norm(cov / scale), 1e-300)
-        if asym > linalg.SYM_RTOL:
+        with np.errstate(over="ignore"):  # an overflowed norm is caught below
+            asym, size = np.linalg.norm(cov - cov.T), np.linalg.norm(cov)
+        if not np.isfinite(size):
+            # the squares overflowed: take both norms of a copy scaled to max |C| = 1
+            unit = cov / np.abs(cov).max()
+            asym, size = np.linalg.norm(unit - unit.T), np.linalg.norm(unit)
+        if asym > linalg.SYM_RTOL * max(size, 1e-300):
             raise NotPositiveDefinite(
-                f"covariance is not symmetric (relative asymmetry {asym:.3e})"
+                f"covariance is not symmetric (relative asymmetry {asym / size:.3e})"
             )
         cov = (cov + cov.T) / 2.0
         linalg.certify_spd(cov, "covariance")
