@@ -54,7 +54,6 @@ class TestGaussianParams:
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_symmetric_huge_covariance_is_left_to_the_spd_rule(self):
         for cov in (np.array([[3.0, 1.0], [1.0, 3.0]]), np.array([[1.0, 2.0], [2.0, 1.0]])):
             huge = 1e200 * cov
