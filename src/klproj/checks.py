@@ -59,12 +59,7 @@ class CheckResult:
 
 
 def _result(name: str, start: float, passed, detail: str) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=bool(passed),
-        detail=detail,
-        elapsed_s=time.perf_counter() - start,
-    )
+    return CheckResult(name, bool(passed), detail, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +77,7 @@ def _rescale_means(p1: GaussianParams, p2: GaussianParams, target_ratio: float,
     """Scale both means by the factor that sets D_mu / D_sigma of ``split`` (default: the pair's)."""
     split = kld_split(p1, p2) if split is None else split
     c = math.sqrt(target_ratio / (split.d_mu / split.d_sigma))
-    return (
-        GaussianParams(c * p1.mean, p1.covariance),
-        GaussianParams(c * p2.mean, p2.covariance),
-    )
+    return GaussianParams(c * p1.mean, p1.covariance), GaussianParams(c * p2.mean, p2.covariance)
 
 
 @lru_cache(maxsize=None)
@@ -121,14 +113,8 @@ def _classification_instance(
     p1 = random_class_params(6, 0.05, 20.0, 1.0, ss[0])
     p2 = random_class_params(6, 0.05, 20.0, 1.0, ss[1])
     p1, p2 = _rescale_means(p1, p2, _REGIME_TARGETS[regime])
-    train = LabeledDataset(
-        np.vstack([sample(p1, 10000, ss[2]), sample(p2, 10000, ss[3])]),
-        np.repeat([1, 2], 10000),
-    )
-    test = LabeledDataset(
-        np.vstack([sample(p1, 1000, ss[4]), sample(p2, 1000, ss[5])]),
-        np.repeat([1, 2], 1000),
-    )
+    train, test = (LabeledDataset(np.vstack([sample(p1, n, ss[k]), sample(p2, n, ss[k + 1])]),
+                                  np.repeat([1, 2], n)) for n, k in ((10000, 2), (1000, 4)))
     return p1, p2, train, test
 
 
@@ -610,12 +596,5 @@ def run_all() -> list[CheckResult]:
         try:
             results.append(fn())
         except Exception as exc:  # noqa: BLE001 - a crash is a failed check
-            results.append(
-                CheckResult(
-                    name=fn.__name__,
-                    passed=False,
-                    detail=f"raised {type(exc).__name__}: {exc}",
-                    elapsed_s=time.perf_counter() - begin,
-                )
-            )
+            results.append(_result(fn.__name__, begin, False, f"raised {type(exc).__name__}: {exc}"))
     return results

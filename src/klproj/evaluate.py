@@ -30,7 +30,8 @@ from .refine import AscentOptions, gradient_ascent
 # ratios (the 0/0 convention).
 _ZERO_KLD = 1e-12
 
-# Slack allowed on the data-processing bound before a sweep is rejected.
+# Slack, relative to max(1, full divergence), allowed on a sweep's
+# data-processing and ordering bounds before it is rejected.
 _DPI_SLACK = 1e-8
 
 _METHOD_TAGS = ("alg1", "alg2", "lda", "lol")
@@ -81,7 +82,7 @@ def sweep_violations(rows: list, full_kld: float) -> tuple[list, list]:
 def _validate_sweep(rows: list, full_kld: float) -> None:
     excesses, drops = sweep_violations(rows, full_kld)
     for size, what in excesses + drops:
-        if size > _DPI_SLACK:
+        if size > _DPI_SLACK * max(1.0, full_kld):
             raise NumericalError(what)
 
 

@@ -131,8 +131,11 @@ def params_to_dict(p: GaussianParams, config: dict | None = None) -> dict:
 
 def params_from_dict(record: dict) -> GaussianParams:
     _check_record(record, "gaussian_params", ("mean", "covariance"))
-    return GaussianParams(np.array(record["mean"], dtype=float),
-                          np.array(record["covariance"], dtype=float))
+    mean, cov = _record_array(record, "mean", 1), _record_array(record, "covariance", 2)
+    if record.get("dim", mean.size) != mean.size:
+        raise DimensionMismatch(f"gaussian_params record dim={record['dim']!r} disagrees with "
+                                f"its {mean.size}-vector mean")
+    return GaussianParams(mean, cov)
 
 
 def projection_to_dict(result: ProjectionResult, config: dict | None = None, **extras) -> dict:
@@ -157,15 +160,16 @@ def projection_to_dict(result: ProjectionResult, config: dict | None = None, **e
     return record
 
 
-def _record_matrix(record: dict, key: str, shape: tuple | None = None) -> np.ndarray:
-    """record[key] as a float64 array; it must be 2-D, numeric and, if given, of ``shape``."""
+def _record_array(record: dict, key: str, ndim: int, shape: tuple | None = None) -> np.ndarray:
+    """record[key] as a float64 array: ``ndim``-D, of numbers (not booleans), of ``shape`` if given."""
     try:
         a = np.asarray(record[key])
     except ValueError:  # ragged rows
         a = np.asarray(None)
-    if a.ndim != 2 or a.dtype.kind not in "iuf" or shape not in (None, a.shape):
+    if a.ndim != ndim or a.dtype.kind not in "iuf" or shape not in (None, a.shape):
         want = "" if shape is None else f" of shape {shape}"
-        raise DimensionMismatch(f"projection record {key} must be a 2-D array of numbers{want}")
+        raise DimensionMismatch(f"{record['kind']} record {key} must be a {ndim}-D array "
+                                f"of numbers{want}")
     return a.astype(float)
 
 
@@ -176,9 +180,9 @@ def projection_from_dict(record: dict) -> ProjectionResult:
         raise DimensionMismatch(f"projection record has unknown frame {frame!r}")
     if frame == FRAME_WHITENED and original is None:
         raise DimensionMismatch(f"a {frame} projection record needs matrix_original")
-    matrix = _record_matrix(record, "matrix")
+    matrix = _record_array(record, "matrix", 2)
     if original is not None:
-        original = _record_matrix(record, "matrix_original", matrix.shape)
+        original = _record_array(record, "matrix_original", 2, matrix.shape)
     for key, size in zip(("r", "dim"), matrix.shape):
         if record.get(key, size) != size:
             raise DimensionMismatch(

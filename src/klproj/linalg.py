@@ -2,14 +2,14 @@
 
 Everything downstream (divergence evaluation, projection construction,
 refinement) is built on the operations here: symmetric eigendecomposition
-with a deterministic ordering, SPD validation (one Cholesky; eigenvalues near
-the floor), SPD inverse square root, Cholesky whitening of a symmetric-definite
-pencil (the code a class pair in ``projections`` is factored with, once) and
-its generalized eigenvectors, row orthonormalization, and principal angles
+with a deterministic ordering, the one Cholesky kernel (LAPACK potrf, in
+place when asked), SPD validation (one Cholesky; eigenvalues near the floor),
+SPD inverse square root, Cholesky whitening of a symmetric-definite pencil
+(the code a class pair in ``projections`` is factored with, once) and its
+generalized eigenvectors, row orthonormalization, and principal angles
 between row spaces.  The whitened pencil's eigenbasis stays implicit: its
 tridiagonalizing Q is kept as Householder reflectors and eigenvector columns
-are formed only when read.  All routines work in float64 and validate their
-inputs.
+are formed only when read.  Inputs are validated; factors are trusted.
 """
 
 from dataclasses import dataclass
@@ -71,11 +71,12 @@ def numerical_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
 
 @dataclass(frozen=True)
 class SymEigen:
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix, or of an SPD pencil B v = lambda C v.
 
     eigenvalues are sorted descending; eigenvectors[:, i] pairs with
     eigenvalues[i].  Ties keep the order produced by the underlying
-    factorization (stable sort), so results are deterministic.
+    factorization (stable sort), so results are deterministic.  A pencil's
+    unit eigenvectors are C-orthogonal but not, in general, orthonormal.
     """
 
     eigenvalues: np.ndarray
@@ -126,19 +127,32 @@ def assert_spd(m, name: str = "matrix") -> None:
     _reject_unless_spd(w[0], w[-1], name)
 
 
-def certify_spd(m: np.ndarray, name: str = "matrix") -> None:
+def cholesky(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Lower Cholesky factor L of an exactly symmetric ``m``, Fortran-ordered; LinAlgError if none.
+
+    potrf reads m.T, a C-ordered m's Fortran view: no transposing copy, and
+    with ``overwrite`` a C-ordered m is factored in place.
+    """
+    l, info = lapack.dpotrf(m.T, lower=1, clean=1, overwrite_a=overwrite)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed (potrf info {info})")
+    return l
+
+
+def certify_spd(m: np.ndarray, name: str = "matrix", scratch: np.ndarray | None = None) -> None:
     """assert_spd's decision for a symmetric ``m``, from one Cholesky when possible.
 
     hi = |m|_F bounds the largest eigenvalue.  If m - 2 SPD_RTOL max(1, hi) I
     has a Cholesky factor, the smallest eigenvalue clears assert_spd's floor
     by far more than rounding: accept.  Otherwise assert_spd decides, with
-    its message.
+    its message.  The shifted copy is factored in place, in ``scratch`` if given.
     """
     hi = np.sqrt(np.vdot(m, m))
-    shifted = m.copy()
+    shifted = np.empty_like(m) if scratch is None else scratch
+    shifted[...] = m
     shifted.flat[:: m.shape[0] + 1] -= 2.0 * SPD_RTOL * max(1.0, hi)
     try:
-        np.linalg.cholesky(shifted)
+        cholesky(shifted, overwrite=True)
     except np.linalg.LinAlgError:
         assert_spd(m, name)
 
@@ -159,21 +173,8 @@ def spd_inv_sqrt(m) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenEigen:
-    """Solution of B v = lambda C v for SPD B and C.
-
-    eigenvalues are real, positive, and sorted descending; eigenvectors[:, i]
-    has unit Euclidean norm.  The eigenvectors are C-orthogonal but not, in
-    general, orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 class WhitenedPencil:
-    """The pencil (B, C) whitened once by the Cholesky factor C = L L^T.
+    """The pencil (B, C) of exactly symmetric B, C whitened once by the Cholesky factor C = L L^T.
 
     ``factor`` is L (the caller's, if it holds one).  The whitened
     W = L^-1 B L^-T (LAPACK sygst) is reduced in place to a tridiagonal
@@ -187,10 +188,11 @@ class WhitenedPencil:
     """
 
     def __init__(self, b, c, factor: np.ndarray | None = None):
-        self.factor = np.linalg.cholesky(c) if factor is None else factor
+        self.factor = cholesky(c) if factor is None else factor
         n = self.factor.shape[0]
-        # sygst leaves W in the lower triangle, which sytrd reduces in place
-        w, _ = lapack.dsygst(b, self.factor, itype=1, lower=1)
+        # sygst leaves W in the lower triangle, which sytrd reduces in place;
+        # b.T is the symmetric b's Fortran view
+        w, _ = lapack.dsygst(b.T, self.factor, itype=1, lower=1)
         lwork, _ = lapack.dsytrd_lwork(n, lower=1)
         w, diag, off, self._tau, _ = lapack.dsytrd(w, lower=1, lwork=int(lwork), overwrite_a=1)
         # Q = diag(1, Q'): Q' is the Q of a QR factor whose reflectors sit one row down
@@ -222,7 +224,7 @@ class WhitenedPencil:
 
     def unwhiten(self, u: np.ndarray) -> np.ndarray:
         """L^-T u: whitened-frame directions (columns) as original-frame ones."""
-        return scipy.linalg.solve_triangular(self.factor, u, lower=True, trans="T")
+        return scipy.linalg.solve_triangular(self.factor, u, lower=True, trans="T", check_finite=False)
 
     def pencil_vectors(self, idx) -> np.ndarray:
         """Unit generalized eigenvectors: the normalized columns of L^-T U[:, idx]."""
@@ -230,11 +232,11 @@ class WhitenedPencil:
         return vecs / np.linalg.norm(vecs, axis=0)
 
     @cached_property
-    def pencil(self) -> GenEigen:
-        return GenEigen(eigenvalues=self.eigenvalues, eigenvectors=self.pencil_vectors(slice(None)))
+    def pencil(self) -> SymEigen:
+        return SymEigen(eigenvalues=self.eigenvalues, eigenvectors=self.pencil_vectors(slice(None)))
 
 
-def generalized_eig(b, c) -> GenEigen:
+def generalized_eig(b, c) -> SymEigen:
     """Generalized eigendecomposition of the SPD pencil (B, C).
 
     Solved by Cholesky reduction (WhitenedPencil): with C = L L^T, the

@@ -180,7 +180,8 @@ class _ClassPair(linalg.WhitenedPencil):
         _check_same_dim(p1, p2)
         super().__init__(p2.covariance, p1.covariance, p1.factor)
         self.p1, self.p2 = p1, p2
-        self.whitened_mean = solve_triangular(self.factor, p2.mean - p1.mean, lower=True)
+        self.whitened_mean = solve_triangular(self.factor, p2.mean - p1.mean, lower=True,
+                                              check_finite=False)
         # m = U^T whitened_mean: the mean offset along each whitened eigendirection
         self.eig_mean = self.coords(self.whitened_mean)
 

@@ -301,6 +301,22 @@ class TestMalformedInput:
                     "--out", tmp_path / "x.json"])
         self.assert_input_error(code, capsys)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mean", {"a": 1}),
+        ("dim", 7),
+        ("mean", [True, False, True]),
+        ("covariance", [1.0, 0.0, 1.0]),
+    ], ids=["mean-object", "dim-disagrees", "mean-booleans", "covariance-vector"])
+    def test_params_with_bad_shape_or_type(self, tmp_path, capsys, field, value):
+        gen_direct(tmp_path / "g", seed=9, d=3)
+        good = tmp_path / "g" / "params_class2.json"
+        record = read_json(tmp_path / "g" / "params_class1.json")
+        record[field] = value
+        bad = tmp_path / "bad.json"
+        write_json(bad, record)
+        code = run(["fit", "--params", bad, good, "--r", 1, "--out", tmp_path / "x.json"])
+        self.assert_input_error(code, capsys, mentions=field)
+
     def test_projection_without_matrix(self, tmp_path, param_files, capsys):
         proj = tmp_path / "proj.json"
         assert run(["fit", "--params", *param_files, "--r", 1, "--out", proj]) == 0

@@ -20,6 +20,7 @@ from klproj import (
 )
 from klproj.errors import DimensionMismatch, InsufficientSamples, NonPositiveInput, NumericalError
 from klproj.evaluate import _validate_sweep, sweep_violations
+from klproj.synth import SpdSpec, random_spd
 
 
 def two_classes(seed, d=5):
@@ -89,6 +90,25 @@ class TestSweepR:
         with pytest.raises(NumericalError, match="alg1 decreases from r=1"):
             _validate_sweep(rows, 2.5)
         _validate_sweep(rows[1:3], 2.5)
+
+    @pytest.mark.parametrize("cond", [1e6, 1e7, 1e8])
+    def test_gate_scales_with_the_full_divergence(self, cond):
+        # ill-conditioned class 1: the full KLD is ~1e6..1e8 and r = d rows miss
+        # it by roundoff far above an absolute 1e-8
+        s1 = random_spd(SpdSpec(20, 1.0, cond, 0))
+        s2 = random_spd(SpdSpec(20, 0.5, 4.0, 1000))
+        p1 = GaussianParams(np.zeros(20), s1)
+        p2 = GaussianParams(np.random.default_rng(0).standard_normal(20), s2)
+        table = sweep_r(p1, p2, ["alg1", "alg2"], range(1, 21))
+        assert table.full_kld > 1e5
+        for i, (method, r, value) in enumerate(table.rows):
+            if r == 20:
+                assert value == pytest.approx(table.full_kld, rel=1e-8)
+                # a genuine violation still trips the gate
+                bumped = list(table.rows)
+                bumped[i] = (method, r, value * (1.0 + 1e-6))
+                with pytest.raises(NumericalError, match=f"\\({method}, r=20\\) retains"):
+                    _validate_sweep(bumped, table.full_kld)
 
     def test_metadata_passthrough(self):
         p1, p2 = two_classes(571)

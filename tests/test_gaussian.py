@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from klproj import (
     GaussianParams,
@@ -173,6 +174,15 @@ class TestKld:
             p1, p2 = rand_pair(rng, 5)
             assert kld(p1, p2) >= 0.0
 
+    @pytest.mark.parametrize("d", [1, 127, 128, 129, 300])
+    def test_blocked_trace_matches_the_full_solve(self, d):
+        # the trace term solves only the nonzero trailing rows of each column block
+        p1, p2 = rand_pair(np.random.default_rng(90 + d), d)
+        trace = np.sum(solve_triangular(p2.factor, p1.factor, lower=True) ** 2)
+        logdets = [2.0 * np.sum(np.log(np.diag(p.factor))) for p in (p1, p2)]
+        d_sigma = 0.5 * (logdets[1] - logdets[0] - d + trace)
+        assert kld_split(p1, p2).d_sigma == pytest.approx(d_sigma, rel=1e-13)
+
     def test_dimension_mismatch(self):
         p1 = GaussianParams(np.zeros(2), np.eye(2))
         p2 = GaussianParams(np.zeros(3), np.eye(3))
@@ -305,6 +315,12 @@ class TestLogDensity:
         assert vals.shape == (3,)
         base = -math.log(2.0 * math.pi)
         np.testing.assert_allclose(vals, [base, base - 0.5, base - 12.5], rtol=1e-13)
+
+    def test_rejects_nonfinite_points(self):
+        # the kept factor is trusted; the points are checked
+        p = GaussianParams(np.zeros(2), np.eye(2))
+        with pytest.raises(NonFiniteInput, match="points"):
+            log_density(p, np.array([[0.0, 0.0], [np.nan, 1.0]]))
 
 
 class TestEstimation:

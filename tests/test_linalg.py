@@ -11,6 +11,7 @@ from klproj.linalg import (
     SPD_RTOL,
     WhitenedPencil,
     assert_spd,
+    cholesky,
     generalized_eig,
     numerical_rank,
     orthonormalize_rows,
@@ -83,6 +84,31 @@ class TestSpdGuards:
         np.testing.assert_allclose(s @ m @ s, np.eye(5), atol=1e-12)
         # the inverse square root is itself symmetric
         np.testing.assert_allclose(s, s.T, atol=1e-12)
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("d", [1, 2, 20, 300])
+    def test_matches_numpy(self, d):
+        m = rand_spd(np.random.default_rng(70 + d), d)
+        m = (m + m.T) / 2.0
+        before = m.copy()
+        l, reference = cholesky(m), np.linalg.cholesky(m)
+        assert np.linalg.norm(l - reference) <= 1e-13 * np.linalg.norm(reference)
+        assert np.all(np.triu(l, 1) == 0.0)
+        assert l.flags.f_contiguous
+        np.testing.assert_array_equal(m, before)
+
+    def test_overwrite_factors_a_c_ordered_matrix_in_place(self):
+        m = rand_spd(np.random.default_rng(79), 6)
+        m = (m + m.T) / 2.0
+        buf = m.copy()
+        l = cholesky(buf, overwrite=True)
+        assert np.shares_memory(l, buf)
+        np.testing.assert_allclose(l @ l.T, m, rtol=1e-13, atol=1e-13)
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(np.diag([1.0, -0.5]))
 
 
 class TestGeneralizedEig:

@@ -27,13 +27,14 @@ from klproj import (
     sweep_r,
     whitened_component_projection,
 )
-from klproj import gaussian, projections
+from klproj import gaussian, linalg, projections
 from klproj.projections import _ClassPair
 from klproj.synth import ChannelSpec, embed_channel
 from klproj.errors import (
     DimensionMismatch,
     EqualMeans,
     IdenticalDistributions,
+    NotPositiveDefinite,
     RankDeficientMeans,
     UnequalMeans,
 )
@@ -70,6 +71,14 @@ class TestLdaDirection:
             p2 = GaussianParams(p1.mean + rng.standard_normal(5), p1.covariance)
             res = lda_direction(p1, p2)
             assert res.achieved_kld == pytest.approx(kld(p1, p2), rel=1e-10)
+
+    def test_indefinite_pooled_covariance_is_not_positive_definite(self):
+        # classes built around validation: the pooled covariance has no factor
+        p1, p2 = iso([0.0, 0.0]), iso([1.0, 0.0])
+        for p in (p1, p2):
+            object.__setattr__(p, "covariance", np.diag([1.0, -1.0]))
+        with pytest.raises(NotPositiveDefinite, match="pooled covariance"):
+            lda_direction(p1, p2)
 
 
 class TestMeanFirstProjection:
@@ -476,34 +485,37 @@ class TestPairFactoredOnce:
         assert eighs == []
         assert splits == []
 
-    def record_args(self, monkeypatch, name):
-        args_seen, kernel = [], getattr(np.linalg, name)
+    def record_calls(self, monkeypatch, owner, name):
+        calls, kernel = [], getattr(owner, name)
 
         def recorded(a, *args, **kwargs):
-            args_seen.append(a)
-            return kernel(a, *args, **kwargs)
+            calls.append((a, kernel(a, *args, **kwargs)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(np.linalg, name, recorded)
-        return args_seen
+        monkeypatch.setattr(owner, name, recorded)
+        return calls
 
     def test_fit_job_factors_each_covariance_once(self, monkeypatch):
         # validate two classes from raw arrays, fit_auto, then kld: the pair's
         # one tridiagonal reduction, no eigenvalue-only validation, one kept
-        # factor per class
+        # factor per class, every factorization through linalg.cholesky
         raw = [(p.mean.copy(), p.covariance.copy()) for p in channel_pair()]
         sytrds = self.count_full(monkeypatch, scipy.linalg.lapack, "dsytrd", 40)
-        eigh_args = self.record_args(monkeypatch, "eigh")
-        eigvalsh_args = self.record_args(monkeypatch, "eigvalsh")
-        cholesky_args = self.record_args(monkeypatch, "cholesky")
+        eighs, eigvalshs, np_choleskys = (self.record_calls(monkeypatch, np.linalg, name)
+                                          for name in ("eigh", "eigvalsh", "cholesky"))
+        choleskys = self.record_calls(monkeypatch, linalg, "cholesky")
         p1, p2 = (GaussianParams(m, c) for m, c in raw)
         fit_auto(p1, p2, 2)
         kld(p1, p2)
-        assert len(eigvalsh_args) == 0
+        assert len(eigvalshs) == 0
         assert len(sytrds) == 1
-        assert sum(np.shape(a) == (40, 40) for a in eigh_args) == 0
-        assert [sum(a is p.covariance for a in cholesky_args) for p in (p1, p2)] == [1, 1]
+        assert sum(np.shape(a) == (40, 40) for a, _ in eighs) == 0
+        assert sum(np.shape(a) == (40, 40) for a, _ in np_choleskys) == 0
+        kept = [[out for a, out in choleskys if a is p.covariance] for p in (p1, p2)]
+        assert [len(outs) for outs in kept] == [1, 1]
+        assert all(outs[0] is p.factor for outs, p in zip(kept, (p1, p2)))
         # the other two are the validation certificates, on shifted copies
-        assert sum(np.shape(a) == (40, 40) for a in cholesky_args) == 4
+        assert sum(np.shape(a) == (40, 40) for a, _ in choleskys) == 4
 
     def test_sweep_factors_the_pair_once(self, monkeypatch):
         p1, p2 = channel_pair()
