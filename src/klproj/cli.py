@@ -55,8 +55,6 @@ from .evaluate import MAX_RESOLUTION, density_grid, pairwise_preservation, plugi
 from .synth import ChannelSpec, embed_channel, random_class_params, sample, sub_seeds
 from . import fileio
 
-_TWO_CLASS_METHODS = ("auto", "alg1", "alg2", "lda", "lol")
-
 
 def _print_wrote(path: Path) -> None:
     print(f"wrote {path}")

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import NotPositiveDefinite, NumericalError, RankDeficient
-from .gaussian import GaussianParams, _check_projection, _check_same_dim, _cholesky, kld_projected
+from .errors import NonPositiveInput, NotPositiveDefinite, NumericalError
+from .gaussian import GaussianParams, _check_projection, _check_same_dim, kld, kld_projected
+from .synth import rng_from_seed
 
 
 @dataclass(frozen=True)
@@ -23,8 +24,8 @@ class AscentOptions:
 
     Stopping is plateau based: after ``patience`` iterations, the run
     converges once the objective gain over the last ``patience`` steps drops
-    below ``rel_tol`` relative to the objective scale.  ``seed`` only feeds
-    random_initial_matrix when a caller starts from scratch.
+    below ``rel_tol`` relative to the objective scale.  A run takes at least
+    one step: ``max_iters`` must be >= 1.
     """
 
     learning_rate: float = 1e-2
@@ -34,19 +35,22 @@ class AscentOptions:
     max_iters: int = 5000
     rel_tol: float = 1e-9
     patience: int = 50
-    seed: int = 0
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise NonPositiveInput(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True)
 class AscentTrace:
     """Objective path of one ascent run.
 
-    ``iterates`` holds (iteration, objective) pairs where each objective is
-    exactly kld_projected at that iterate; ``final_matrix`` is the
-    best-objective iterate encountered (so the final objective never falls
-    below the initial one).  ``reason`` is "plateau", "max_iters", or
-    "singular_boundary" when a step could not be shrunk back into the
-    positive definite region.
+    ``iterates`` holds (iteration, objective) pairs; each objective is exactly
+    kld_projected at that iterate, read off the same validated projected classes.
+    ``final_matrix`` is the best-objective iterate encountered (so the final
+    objective never falls below the initial one).  ``reason`` is "plateau",
+    "max_iters", or "singular_boundary" when a step could not be shrunk back
+    into the positive definite region.
     """
 
     iterates: list = field(repr=False)
@@ -66,28 +70,35 @@ def kld_gradient(a, p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
 
     The derivation mirrors the three terms of the divergence (log-determinant
     ratio, trace, Mahalanobis); central finite differences reproduce it to
-    first order and serve as the ground truth in the test suite.
+    first order and serve as the ground truth in the test suite.  The M_k^-1
+    solves read the factors of the projected classes that kld_projected validates.
     """
-    d = _check_same_dim(p1, p2)
-    a = _check_projection(a, d)
+    return _value_and_gradient(_check_projection(a, _check_same_dim(p1, p2)), p1, p2)[1]
+
+
+def _value_and_gradient(a: np.ndarray, p1: GaussianParams, p2: GaussianParams) -> tuple[float, np.ndarray]:
+    """(kld_projected, kld_gradient) at a checked ``a``, from one pair of projected classes.
+
+    No rank check: rank below RANK_RTOL fails the SPD floor, as cond(S) < 1e10.
+    """
     as1 = a @ p1.covariance
     as2 = a @ p2.covariance
     m1 = as1 @ a.T
     m2 = as2 @ a.T
-    l1 = _cholesky((m1 + m1.T) / 2.0, "first projected covariance")
-    l2 = _cholesky((m2 + m2.T) / 2.0, "second projected covariance")
+    q1 = GaussianParams(a @ p1.mean, (m1 + m1.T) / 2.0)
+    q2 = GaussianParams(a @ p2.mean, (m2 + m2.T) / 2.0)
+    c1, c2 = (q1.factor, True), (q2.factor, True)
     delta = p2.mean - p1.mean
-    w = cho_solve((l2, True), a @ delta)
-    x2 = cho_solve((l2, True), as2)
-    grad = (
+    w = cho_solve(c2, a @ delta)
+    x2 = cho_solve(c2, as2)
+    return kld(q1, q2), (
         x2
-        - cho_solve((l1, True), as1)
-        + cho_solve((l2, True), as1)
-        - cho_solve((l2, True), m1 @ x2)
+        - cho_solve(c1, as1)
+        + cho_solve(c2, as1)
+        - cho_solve(c2, m1 @ x2)  # m1 unsymmetrized: symmetrizing moves the last bits
         + np.outer(w, delta)
         - np.outer(w, as2.T @ w)
     )
-    return grad
 
 
 def finite_difference_gradient(a, p1: GaussianParams, p2: GaussianParams, h: float = 1e-5) -> np.ndarray:
@@ -106,8 +117,7 @@ def finite_difference_gradient(a, p1: GaussianParams, p2: GaussianParams, h: flo
 
 def random_initial_matrix(r: int, d: int, seed: int) -> np.ndarray:
     """Standard normal r x d matrix with rows rescaled to unit norm."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    a = rng.standard_normal((r, d))
+    a = rng_from_seed(seed).standard_normal((r, d))
     return a / np.linalg.norm(a, axis=1, keepdims=True)
 
 
@@ -119,64 +129,54 @@ def gradient_ascent(
 ) -> AscentTrace:
     """Maximize retained divergence from a0 with Adam.
 
-    A proposed update that pushes a projected covariance out of the positive
-    definite cone (or the objective out of the finite range) is halved up to
-    20 times; if no scale of it is admissible the run stops with
-    converged=False and reason "singular_boundary".  The returned
-    final_matrix is the best iterate seen, so refinement never loses ground
-    against its starting point.
+    ``a0`` is checked once, at entry; each candidate's objective and gradient
+    share its one pair of validated projected classes.  A proposed update that
+    pushes a projected covariance out of the positive definite cone (or the
+    objective out of the finite range) is halved up to 20 times; if no scale of
+    it is admissible the run stops with converged=False and reason
+    "singular_boundary".  The returned final_matrix is the best iterate seen,
+    so refinement never loses ground against its starting point.
     """
     opts = options or AscentOptions()
-    a = np.array(np.atleast_2d(np.asarray(a0, dtype=float)))
-    f = kld_projected(a, p1, p2)
+    a = _check_projection(a0, _check_same_dim(p1, p2))
+    f, g = _value_and_gradient(a, p1, p2)
     best_f, best_a = f, a.copy()
-    values = [f]
     iterates = [(0, f)]
     m = np.zeros_like(a)
     v = np.zeros_like(a)
-    converged = False
     reason = "max_iters"
-    t_done = 0
     for t in range(1, opts.max_iters + 1):
-        g = kld_gradient(a, p1, p2)
         m = opts.beta1 * m + (1.0 - opts.beta1) * g
         v = opts.beta2 * v + (1.0 - opts.beta2) * g * g
         m_hat = m / (1.0 - opts.beta1**t)
         v_hat = v / (1.0 - opts.beta2**t)
         step = opts.learning_rate * m_hat / (np.sqrt(v_hat) + opts.eps)
 
-        f_new = None
         for _ in range(21):
             try:
-                candidate = kld_projected(a + step, p1, p2)
-            except (NotPositiveDefinite, RankDeficient, NumericalError):
-                candidate = None
-            if candidate is not None and np.isfinite(candidate):
-                f_new = candidate
+                f, g = _value_and_gradient(a + step, p1, p2)
+            except (NotPositiveDefinite, NumericalError):
+                f = np.nan
+            if np.isfinite(f):
                 break
             step = step / 2.0
-        if f_new is None:
+        else:
             reason = "singular_boundary"
-            t_done = t
             break
 
         a = a + step
-        f = f_new
-        values.append(f)
         iterates.append((t, f))
         if f > best_f:
             best_f, best_a = f, a.copy()
-        t_done = t
         if t >= opts.patience:
-            anchor = values[t - opts.patience]
+            anchor = iterates[t - opts.patience][1]
             if f - anchor <= opts.rel_tol * max(1.0, abs(anchor)):
-                converged = True
                 reason = "plateau"
                 break
     return AscentTrace(
         iterates=iterates,
         final_matrix=best_a,
-        converged=converged,
-        iterations_run=t_done,
+        converged=reason == "plateau",
+        iterations_run=t,
         reason=reason,
     )

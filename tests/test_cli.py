@@ -235,12 +235,12 @@ class TestFit:
 class TestMalformedInput:
     """Malformed files exit 2 with one JSON error line, never a traceback."""
 
-    def assert_input_error(self, code, capsys, mentions=""):
+    def assert_input_error(self, code, capsys, mentions="", error="DimensionMismatch"):
         assert code == 2
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])
-        assert err["error"] == "DimensionMismatch"
+        assert err["error"] == error
         assert mentions in err["message"]
 
     @pytest.mark.parametrize("body", [
@@ -285,6 +285,14 @@ class TestMalformedInput:
         code = run(["eval", "--projection", proj, "--params", *param_files, "--density-grid",
                     "--resolution", MAX_RESOLUTION + 1, "--out-dir", tmp_path / "ev"])
         self.assert_input_error(code, capsys, mentions=str(MAX_RESOLUTION))
+
+    @pytest.mark.parametrize("max_iters", [0, -5])
+    def test_refine_without_iterations(self, tmp_path, param_files, capsys, max_iters):
+        out = tmp_path / "x.json"
+        code = run(["fit", "--params", *param_files, "--r", 1, "--refine",
+                    "--max-iters", max_iters, "--out", out])
+        self.assert_input_error(code, capsys, mentions="max_iters", error="NonPositiveInput")
+        assert not out.exists()
 
     def test_empty_dataset_csv(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

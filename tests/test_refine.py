@@ -6,6 +6,7 @@ import pytest
 from klproj import (
     AscentOptions,
     GaussianParams,
+    NotPositiveDefinite,
     finite_difference_gradient,
     gradient_ascent,
     kld,
@@ -16,6 +17,25 @@ from klproj import (
     random_initial_matrix,
     whitened_component_projection,
 )
+from klproj import linalg, refine
+
+
+def toward_the_floor(variance):
+    """Classes, a start whose class-1 projected variance is ``variance``, and a learning rate.
+
+    The classes are N(0, I) and N(e1, 2 I) in d = 20.  Ascent turns the start
+    c (0.1, -1, ..., -1) toward e1, so its first Adam step is about
+    lr (1, ..., 1); with lr = -(a0 . 1) / d that full step lowers the
+    projected variance a a^T to 6% of the start's, and half of it to 29%.
+    Below unit scale the SPD floor is absolute: a variance <= 1e-10 is refused.
+    """
+    d = 20
+    u = np.full((1, d), -1.0)
+    u[0, 0] = 0.1
+    a0 = u * np.sqrt(variance / np.sum(u * u))
+    p1 = GaussianParams(np.zeros(d), np.eye(d))
+    p2 = GaussianParams(np.eye(d)[0], 2.0 * np.eye(d))
+    return p1, p2, a0, -float(a0.sum()) / d
 
 
 class TestGradient:
@@ -77,7 +97,7 @@ class TestAscent:
         best = max(values)
         # the recorded final matrix is the best iterate seen
         assert values[0] <= best
-        assert trace.iterates[0][0] == 0
+        assert trace.iterates[0] == (0, kld_projected(a0, p1, p2))
         assert trace.iterations_run >= 1
         # re-evaluation agrees with the recorded best up to last-bit noise
         assert kld_projected(trace.final_matrix, p1, p2) == pytest.approx(
@@ -163,6 +183,66 @@ class TestAscent:
         )
         its = [t for t, _ in trace.iterates]
         assert its == list(range(len(its)))
+
+    def test_refused_step_is_halved(self):
+        p1, p2, a0, lr = toward_the_floor(1.5e-9)
+        with pytest.raises(NotPositiveDefinite):
+            kld_projected(a0 + lr, p1, p2)  # the full first step, up to Adam's eps
+        trace = gradient_ascent(a0, p1, p2, AscentOptions(learning_rate=lr, max_iters=1))
+        half = gradient_ascent(a0, p1, p2, AscentOptions(learning_rate=lr / 2, max_iters=1))
+        assert trace.iterations_run == 1
+        assert trace.reason == "max_iters"
+        assert trace.iterates == half.iterates
+
+    def test_singular_boundary_when_no_halving_is_admissible(self):
+        # a start just above the floor: every halving of a step toward it falls below
+        p1, p2, a0, lr = toward_the_floor(1e-10 * (1.0 + 1e-8))
+        trace = gradient_ascent(a0, p1, p2, AscentOptions(learning_rate=lr, max_iters=5))
+        assert trace.reason == "singular_boundary"
+        assert not trace.converged
+        assert trace.iterations_run == 1
+        assert trace.iterates == [(0, kld_projected(a0, p1, p2))]
+        np.testing.assert_array_equal(trace.final_matrix, a0)
+
+    def test_rank_deficient_point_fails_the_spd_floor(self):
+        # candidates get no rank check of their own: rows at a singular-value
+        # ratio below RANK_RTOL put A S A^T under the SPD floor, even at cond(S) = 1e9
+        d = 6
+        ill = GaussianParams(np.zeros(d), np.diag(np.logspace(0, 9, d)))
+        other = random_class_params(d, 0.3, 5.0, 1.0, 511)
+        u, v = random_initial_matrix(2, d, 512)
+        for p1, p2 in ((ill, other), (other, ill)):
+            for a in (np.vstack([u, u]), np.vstack([u, u + 1e-11 * v])):
+                assert linalg.numerical_rank(a) == 1
+                with pytest.raises(NotPositiveDefinite):
+                    refine._value_and_gradient(a, p1, p2)
+
+
+class TestAscentWork:
+    def test_each_point_is_projected_and_factored_once(self, monkeypatch):
+        d, r = 20, 3
+        p1 = random_class_params(d, 0.3, 5.0, 1.0, 521)
+        p2 = random_class_params(d, 0.3, 5.0, 1.0, 522)
+        a0 = random_initial_matrix(r, d, 523)
+        ranks, factors = [], []
+        rank, cholesky = linalg.numerical_rank, linalg.cholesky
+
+        def counted_rank(a, *args):
+            ranks.append(1)
+            return rank(a, *args)
+
+        def counted_cholesky(m, *args, **kwargs):
+            if m.shape == (r, r):
+                factors.append(1)
+            return cholesky(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "numerical_rank", counted_rank)
+        monkeypatch.setattr(linalg, "cholesky", counted_cholesky)
+        trace = gradient_ascent(a0, p1, p2, AscentOptions(max_iters=30, patience=31))
+        assert trace.iterations_run == 30
+        # a0's rank, once; per point, both projected classes' certificates and kept factors
+        assert len(ranks) == 1
+        assert len(factors) == 4 * len(trace.iterates) == 124
 
 
 class TestRandomInitialMatrix:
