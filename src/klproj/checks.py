@@ -1,9 +1,10 @@
 """Executable verification suite for the library's core guarantees.
 
-Every check is deterministic (all randomness flows from frozen seeds), times
-itself, and returns a CheckResult instead of raising on failure, so the whole
-suite always reports one line per guarantee.  ``klproj check`` prints the
-results; the test suite asserts them one by one.
+Every check is deterministic (all randomness flows from frozen seeds) and
+returns (passed, detail).  ``run`` times a check, names its result after the
+function and turns a raise into a failed result, so the whole suite always
+reports one line per guarantee.  ``klproj check`` prints the results; the
+test suite asserts them one by one.
 
 The two qualitative reproductions (the channel pipeline and the sampled
 classification comparison) pin master seeds 2 and 1; the instance builders
@@ -31,7 +32,6 @@ from .gaussian import (
     estimate_params,
     g_score,
     kld,
-    kld_projected,
     kld_split,
     pooled_covariance,
 )
@@ -58,8 +58,14 @@ class CheckResult:
     elapsed_s: float
 
 
-def _result(name: str, start: float, passed, detail: str) -> CheckResult:
-    return CheckResult(name, bool(passed), detail, time.perf_counter() - start)
+def run(check) -> CheckResult:
+    """Run one check, timed and named after its function; a raise is a failed result."""
+    start = time.perf_counter()
+    try:
+        passed, detail = check()
+    except Exception as exc:  # noqa: BLE001 - a crash is a failed check
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(check.__name__, bool(passed), detail, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +129,8 @@ def _classification_instance(
 # ---------------------------------------------------------------------------
 
 
-def equal_covariance_full_recovery() -> CheckResult:
+def equal_covariance_full_recovery() -> tuple[bool, str]:
     """One mean-first direction is exact when the covariances coincide."""
-    start = time.perf_counter()
     seeds = sub_seeds(101, 300)
     worst = 0.0
     for i in range(100):
@@ -136,17 +141,11 @@ def equal_covariance_full_recovery() -> CheckResult:
         full = kld(p1, p2)
         achieved = mean_first_projection(p1, p2, 1).achieved_kld
         worst = max(worst, abs(achieved - full) / full)
-    return _result(
-        "equal_covariance_full_recovery",
-        start,
-        worst < 1e-8,
-        f"max rel err {worst:.2e} over 100 instances (d=20, r=1), tol 1e-8",
-    )
+    return worst < 1e-8, f"max rel err {worst:.2e} over 100 instances (d=20, r=1), tol 1e-8"
 
 
-def component_score_additivity() -> CheckResult:
+def component_score_additivity() -> tuple[bool, str]:
     """The d whitened component divergences sum to the full divergence."""
-    start = time.perf_counter()
     seeds = sub_seeds(102, 201)
     dims = rng_from_seed(seeds[200]).integers(2, 51, size=100)
     worst = 0.0
@@ -157,17 +156,11 @@ def component_score_additivity() -> CheckResult:
         full = kld(p1, p2)
         total = whitened_component_projection(p1, p2, d).achieved_kld
         worst = max(worst, abs(total - full) / full)
-    return _result(
-        "component_score_additivity",
-        start,
-        worst < 1e-8,
-        f"max rel err {worst:.2e} over 100 instances (2 <= d <= 50), tol 1e-8",
-    )
+    return worst < 1e-8, f"max rel err {worst:.2e} over 100 instances (2 <= d <= 50), tol 1e-8"
 
 
-def equal_means_subspace_agreement() -> CheckResult:
+def equal_means_subspace_agreement() -> tuple[bool, str]:
     """With equal means the whitened fit spans the top-g pencil directions."""
-    start = time.perf_counter()
     seeds = sub_seeds(103, 150)
     worst = 0.0
     for i in range(50):
@@ -182,15 +175,10 @@ def equal_means_subspace_agreement() -> CheckResult:
             reference = orthonormalize_rows(pencil.eigenvectors[:, order[:r]].T)
             angle = principal_angles(res.matrix_original, reference).max()
             worst = max(worst, float(angle))
-    return _result(
-        "equal_means_subspace_agreement",
-        start,
-        worst < 1e-8,
-        f"max principal angle {worst:.2e} rad over 50 instances x r in (1,3,5), tol 1e-8",
-    )
+    return worst < 1e-8, f"max principal angle {worst:.2e} rad over 50 instances x r in (1,3,5), tol 1e-8"
 
 
-def divergence_order_invariance() -> CheckResult:
+def divergence_order_invariance() -> tuple[bool, str]:
     """One-sided pencil spectra make both divergence orders pick one subspace.
 
     Covariances ordered as S2 = S1 + positive (semi)definite put every pencil
@@ -198,7 +186,6 @@ def divergence_order_invariance() -> CheckResult:
     constructed spectrum straddling 1 is kept as a negative control that the
     agreement is a property of the ordering, not of the comparison.
     """
-    start = time.perf_counter()
     seeds = sub_seeds(104, 150)
     worst = 0.0
     for i in range(50):
@@ -213,19 +200,13 @@ def divergence_order_invariance() -> CheckResult:
     control1 = GaussianParams(np.zeros(2), np.eye(2))
     control2 = GaussianParams(np.zeros(2), np.diag([4.0, 0.2]))
     _, _, control_angle = equal_mean_order_check(control1, control2, 1)
-    passed = worst < 1e-8 and control_angle > 0.1
-    return _result(
-        "divergence_order_invariance",
-        start,
-        passed,
+    return worst < 1e-8 and control_angle > 0.1, (
         f"max angle {worst:.2e} rad over 50 ordered instances (tol 1e-8); "
-        f"straddling control disagrees at {control_angle:.3f} rad (> 0.1)",
-    )
+        f"straddling control disagrees at {control_angle:.3f} rad (> 0.1)")
 
 
-def multiclass_pairwise_preservation() -> CheckResult:
+def multiclass_pairwise_preservation() -> tuple[bool, str]:
     """K-1 common-covariance directions preserve every pairwise divergence."""
-    start = time.perf_counter()
     seeds = sub_seeds(105, 120)
     worst_ratio = 0.0
     worst_angle = 0.0
@@ -242,14 +223,9 @@ def multiclass_pairwise_preservation() -> CheckResult:
         target = np.vstack([np.linalg.solve(sigma, mu - means[0]) for mu in means[1:]])
         angle = principal_angles(res.matrix, orthonormalize_rows(target)).max()
         worst_angle = max(worst_angle, float(angle))
-    passed = worst_ratio < 1e-8 and worst_angle < 1e-8
-    return _result(
-        "multiclass_pairwise_preservation",
-        start,
-        passed,
+    return worst_ratio < 1e-8 and worst_angle < 1e-8, (
         f"max |ratio - 1| {worst_ratio:.2e}, max angle to the solved-means span "
-        f"{worst_angle:.2e} rad over 20 instances (K=5, d=30), tol 1e-8",
-    )
+        f"{worst_angle:.2e} rad over 20 instances (K=5, d=30), tol 1e-8")
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +248,7 @@ def _sweep_violations(table: SweepTable, d: int) -> tuple[float, float, float]:
     return drop, excess, max(end_errs, default=math.inf)
 
 
-def sweep_bounds_and_monotonicity() -> CheckResult:
+def sweep_bounds_and_monotonicity() -> tuple[bool, str]:
     """Retained divergence grows with rank, stays bounded, and closes at r=d.
 
     Sweeps cover every instance family the other checks exercise: equal
@@ -280,7 +256,6 @@ def sweep_bounds_and_monotonicity() -> CheckResult:
     covariance multiclass pair, both frozen channel regimes, and both
     frozen sampled-estimate regimes (plus one gradient-refined sweep).
     """
-    start = time.perf_counter()
     sweeps: list[tuple[int, SweepTable]] = []
 
     seeds = sub_seeds(106, 3)
@@ -338,15 +313,10 @@ def sweep_bounds_and_monotonicity() -> CheckResult:
     for d, table in sweeps:
         vd, ve, vr = _sweep_violations(table, d)
         drop, excess, end_err = max(drop, vd), max(excess, ve), max(end_err, vr)
-    passed = drop <= 1e-10 and excess <= 1e-8 and end_err < 1e-8
-    return _result(
-        "sweep_bounds_and_monotonicity",
-        start,
-        passed,
+    return drop <= 1e-10 and excess <= 1e-8 and end_err < 1e-8, (
         f"{len(sweeps)} sweeps: worst rank-to-rank drop {drop:.2e} (tol 1e-10), "
         f"worst excess over full {excess:.2e} (tol 1e-8), "
-        f"worst r=d rel err {end_err:.2e} (tol 1e-8)",
-    )
+        f"worst r=d rel err {end_err:.2e} (tol 1e-8)")
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +324,8 @@ def sweep_bounds_and_monotonicity() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def gradient_finite_difference_agreement() -> CheckResult:
+def gradient_finite_difference_agreement() -> tuple[bool, str]:
     """The assembled gradient matches central finite differences."""
-    start = time.perf_counter()
     seeds = sub_seeds(107, 41)
     rng = rng_from_seed(seeds[40])
     worst = 0.0
@@ -367,18 +336,13 @@ def gradient_finite_difference_agreement() -> CheckResult:
         p2 = random_class_params(d, 0.2, 5.0, 1.0, seeds[2 * i + 1])
         a = rng.standard_normal((r, d))
         grad = kld_gradient(a, p1, p2)
-        numeric = finite_difference_gradient(a, p1, p2, h=1e-5)
+        numeric = finite_difference_gradient(a, p1, p2)
         err = np.max(np.abs(grad - numeric) / np.maximum(1.0, np.abs(numeric)))
         worst = max(worst, float(err))
-    return _result(
-        "gradient_finite_difference_agreement",
-        start,
-        worst < 1e-5,
-        f"max rel err {worst:.2e} over 20 instances (d <= 8, r <= 4), tol 1e-5",
-    )
+    return worst < 1e-5, f"max rel err {worst:.2e} over 20 instances (d <= 8, r <= 4), tol 1e-5"
 
 
-def channel_regime_orderings() -> CheckResult:
+def channel_regime_orderings() -> tuple[bool, str]:
     """Frozen channel pipeline: regime orderings and vanishing refinement.
 
     Mean-heavy regime: the mean-first fit beats the whitened fit at r=1.
@@ -386,7 +350,6 @@ def channel_regime_orderings() -> CheckResult:
     r in {1,2,3}.  In both, gradient refinement never loses ground and its
     r=10 gain is below 0.1% of the full divergence.
     """
-    start = time.perf_counter()
     notes = []
     ok = True
 
@@ -432,10 +395,10 @@ def channel_regime_orderings() -> CheckResult:
         f"refinement: min gain {min_gain:.1e} (>= 0), "
         f"worst r=10 gain {worst_tail:.2e} of full (< 1e-3)"
     )
-    return _result("channel_regime_orderings", start, ok, "; ".join(notes))
+    return ok, "; ".join(notes)
 
 
-def classification_ordering_vs_baseline() -> CheckResult:
+def classification_ordering_vs_baseline() -> tuple[bool, str]:
     """Frozen sampled comparison: divergence fits beat the pooled baseline.
 
     Parameters are estimated from 10000 training samples per class; in both
@@ -443,7 +406,6 @@ def classification_ordering_vs_baseline() -> CheckResult:
     baseline's divergence at r=2 and strictly beat its plug-in accuracy on
     1000 held-out samples per class.
     """
-    start = time.perf_counter()
     notes = []
     ok = True
     for regime in ("mean_heavy", "cov_heavy"):
@@ -470,12 +432,11 @@ def classification_ordering_vs_baseline() -> CheckResult:
             f"vs {base_kld:.2f} (x10 required); acc {scores['alg1'][1]:.3f}/"
             f"{scores['alg2'][1]:.3f} vs {base_acc:.3f}"
         )
-    return _result("classification_ordering_vs_baseline", start, ok, "; ".join(notes))
+    return ok, "; ".join(notes)
 
 
-def chernoff_kld_ratio_equal_covariance() -> CheckResult:
+def chernoff_kld_ratio_equal_covariance() -> tuple[bool, str]:
     """With equal covariances the Chernoff information is a quarter of the KLD."""
-    start = time.perf_counter()
     seeds = sub_seeds(110, 150)
     worst = 0.0
     for i in range(50):
@@ -485,19 +446,13 @@ def chernoff_kld_ratio_equal_covariance() -> CheckResult:
         p1, p2 = GaussianParams(mu1, cov), GaussianParams(mu2, cov)
         target = kld(p1, p2) / 4.0
         worst = max(worst, abs(chernoff_information(p1, p2) - target) / target)
-    return _result(
-        "chernoff_kld_ratio_equal_covariance",
-        start,
-        worst < 1e-6,
-        f"max rel err {worst:.2e} over 50 instances (d=15), tol 1e-6",
-    )
+    return worst < 1e-6, f"max rel err {worst:.2e} over 50 instances (d=15), tol 1e-6"
 
 
-def cli_rerun_determinism() -> CheckResult:
+def cli_rerun_determinism() -> tuple[bool, str]:
     """Rerunning every command with identical flags reproduces identical bytes."""
     from . import cli
 
-    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         chan, direct = str(base / "chan"), str(base / "direct")
@@ -566,7 +521,7 @@ def cli_rerun_determinism() -> CheckResult:
     )
     if rc1 != 0 or rc2 != 0:
         detail += f" (exit codes {rc1}, {rc2})"
-    return _result("cli_rerun_determinism", start, passed, detail)
+    return passed, detail
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +544,5 @@ ALL_CHECKS = (
 
 
 def run_all() -> list[CheckResult]:
-    """Run every check, converting an unexpected raise into a failed result."""
-    results = []
-    for fn in ALL_CHECKS:
-        begin = time.perf_counter()
-        try:
-            results.append(fn())
-        except Exception as exc:  # noqa: BLE001 - a crash is a failed check
-            results.append(_result(fn.__name__, begin, False, f"raised {type(exc).__name__}: {exc}"))
-    return results
+    """Run every check in ALL_CHECKS, one result each."""
+    return [run(check) for check in ALL_CHECKS]

@@ -32,13 +32,10 @@ from .gaussian import (
     LabeledDataset,
     _check_projection,
     estimate_params,
-    kld_projected,
     pooled_covariance,
     project_params,
 )
-from .linalg import orthonormalize_rows
 from .projections import (
-    FRAME_ORIGINAL,
     FRAME_WHITENED,
     ProjectionResult,
     _ClassPair,
@@ -50,7 +47,7 @@ from .projections import (
     select_regime,
     whitened_component_projection,
 )
-from .refine import AscentOptions, gradient_ascent
+from .refine import AscentOptions, refine_fit
 from .evaluate import MAX_RESOLUTION, density_grid, pairwise_preservation, plugin_classifier_train, sweep_r
 from .synth import ChannelSpec, embed_channel, random_class_params, sample, sub_seeds
 from . import fileio
@@ -215,28 +212,15 @@ def cmd_fit(args) -> int:
             opts = AscentOptions() if args.max_iters is None else AscentOptions(
                 max_iters=args.max_iters
             )
-            start = result.in_original_frame()
-            trace = gradient_ascent(start, p1, p2, opts)
-            refined_matrix = orthonormalize_rows(trace.final_matrix)
-            refined_kld = kld_projected(refined_matrix, p1, p2)
-            if refined_kld < result.achieved_kld:
-                # rounding in the re-orthonormalized best iterate must not
-                # report a refinement that lost ground: keep the start
-                refined_matrix, refined_kld = start, result.achieved_kld
+            refined, trace = refine_fit(result, p1, p2, opts)
             extras["refinement"] = {
                 "initial_kld": result.achieved_kld,
-                "refined_kld": refined_kld,
+                "refined_kld": refined.achieved_kld,
                 "iterations": trace.iterations_run,
                 "converged": trace.converged,
                 "reason": trace.reason,
             }
-            result = ProjectionResult(
-                matrix=refined_matrix,
-                frame=FRAME_ORIGINAL,
-                method=f"{result.method}_refined",
-                achieved_kld=refined_kld,
-                warnings=result.warnings,
-            )
+            result = refined
 
     _write_json(Path(args.out), fileio.projection_to_dict(result, config=config, **extras))
     return 0

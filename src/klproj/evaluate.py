@@ -7,7 +7,7 @@ reduced space, and what the projected class densities look like on a grid.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +18,12 @@ from .gaussian import (
     _check_projection,
     estimate_params,
     kld,
-    kld_projected,
     log_density,
     project_params,
 )
 from .linalg import sym_eig
 from .projections import _ClassPair, _lol, _mean_first, _whitened_component, lda_direction
-from .refine import AscentOptions, gradient_ascent
+from .refine import AscentOptions, refine_fit
 
 # Divergences below this are treated as zero when forming preservation
 # ratios (the 0/0 convention).
@@ -39,6 +38,10 @@ _METHOD_TAGS = ("alg1", "alg2", "lda", "lol")
 # Largest density grid resolution per axis: the grid holds 2 * resolution**2
 # density values, and the CLI writes each one as a CSV row.
 MAX_RESOLUTION = 1000
+
+# A density grid's contour levels, as a fraction of each class's peak: the
+# usual one-per-thousand outline.
+CONTOUR_LEVEL_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,6 @@ class SweepTable:
 
     rows: list
     full_kld: float
-    metadata: dict = field(default_factory=dict)
 
 
 def sweep_violations(rows: list, full_kld: float) -> tuple[list, list]:
@@ -93,17 +95,17 @@ def sweep_r(
     r_values,
     refine: bool = False,
     options: AscentOptions | None = None,
-    metadata: dict | None = None,
 ) -> SweepTable:
     """Fit each method at each r and tabulate the retained divergence.
 
     methods is any subset of {"alg1", "alg2", "lda", "lol"}; "lda" yields a
     single direction and is only emitted at r = 1.  With refine=True each
-    closed-form result seeds a gradient ascent run whose retained divergence
-    is added under the tag "<method>_refined".  The class pair is factored
-    once and serves every r, as does lol's pooled eigendecomposition; when
-    alg1 or alg2 is swept, full_kld is the pair's split total as well.  The
-    table is validated before it is returned.
+    closed-form result is refined by ``refine_fit``, and its retained
+    divergence (never below the start's) is added under the tag
+    "<method>_refined".  The class pair is factored once and serves every r,
+    as does lol's pooled eigendecomposition; when alg1 or alg2 is swept,
+    full_kld is the pair's split total as well.  The table is validated
+    before it is returned.
     """
     methods = sorted(set(methods))
     for m in methods:
@@ -130,11 +132,10 @@ def sweep_r(
             result = fitters[method](r)
             rows.append((method, r, float(result.achieved_kld)))
             if refine:
-                trace = gradient_ascent(result.in_original_frame(), p1, p2, options)
-                refined = kld_projected(trace.final_matrix, p1, p2)
-                rows.append((f"{method}_refined", r, float(refined)))
+                refined, _ = refine_fit(result, p1, p2, options)
+                rows.append((f"{method}_refined", r, float(refined.achieved_kld)))
     _validate_sweep(rows, full)
-    return SweepTable(rows=rows, full_kld=full, metadata=dict(metadata or {}))
+    return SweepTable(rows=rows, full_kld=full)
 
 
 def pairwise_preservation(params: list[GaussianParams], a) -> np.ndarray:
@@ -190,12 +191,11 @@ class PluginClassifier:
         return float(np.mean(self.predict(data.samples) == data.labels))
 
 
-def plugin_classifier_train(train: LabeledDataset, a, ridge: float = 0.0) -> PluginClassifier:
+def plugin_classifier_train(train: LabeledDataset, a) -> PluginClassifier:
     """Fit per-class Gaussians and empirical priors in the projected space.
 
     Each class needs more than r + 1 samples so its projected covariance has
-    a chance of being nonsingular; a ridge > 0 is forwarded to the per-class
-    covariance estimates.
+    a chance of being nonsingular.
     """
     a = _check_projection(np.asarray(a, dtype=float), train.dim)
     r = a.shape[0]
@@ -207,7 +207,7 @@ def plugin_classifier_train(train: LabeledDataset, a, ridge: float = 0.0) -> Plu
                 f"class {lab} has {count} samples; need more than {r + 1}"
             )
     projected = LabeledDataset(train.samples @ a.T, train.labels)
-    class_params = tuple(estimate_params(projected, int(lab), ridge) for lab in labels)
+    class_params = tuple(estimate_params(projected, int(lab)) for lab in labels)
     return PluginClassifier(a, labels, class_params, counts / counts.sum())
 
 
@@ -221,37 +221,32 @@ class DensityGrid:
     """Both projected class densities evaluated on a shared 2-D grid.
 
     values_class{1,2}[i, j] is the density at (x_axis[i], y_axis[j]).
-    ``peak_class{1,2}`` are the analytic maxima 1 / (2 pi sqrt(det)); contour
-    levels at contour_level_fraction of each peak trace the usual
-    one-per-thousand outline of each class.
+    ``peak_class{1,2}`` are the analytic maxima 1 / (2 pi sqrt(det)); the
+    contour levels are CONTOUR_LEVEL_FRACTION of each peak.
     """
 
     x_axis: np.ndarray
     y_axis: np.ndarray
     values_class1: np.ndarray
     values_class2: np.ndarray
-    contour_level_fraction: float
     peak_class1: float
     peak_class2: float
 
     def contour_levels(self) -> tuple[float, float]:
-        return (self.contour_level_fraction * self.peak_class1,
-                self.contour_level_fraction * self.peak_class2)
+        return CONTOUR_LEVEL_FRACTION * self.peak_class1, CONTOUR_LEVEL_FRACTION * self.peak_class2
 
 
 def density_grid(
     a,
     p1: GaussianParams,
     p2: GaussianParams,
-    bounds: tuple | None = None,
     resolution: int = 200,
-    contour_level_fraction: float = 1e-3,
 ) -> DensityGrid:
     """Evaluate both projected class densities on a shared 2-D grid.
 
-    ``a`` must have exactly two rows.  Default bounds cover each axis from
-    the smallest projected mean minus four projected standard deviations to
-    the largest plus four; pass ((x_lo, x_hi), (y_lo, y_hi)) to override.
+    ``a`` must have exactly two rows.  Each axis runs from the smallest
+    projected mean minus four projected standard deviations to the largest
+    plus four.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != 2:
@@ -260,28 +255,19 @@ def density_grid(
         raise NonPositiveInput(f"resolution must be >= 2, got {resolution}")
     if int(resolution) > MAX_RESOLUTION:
         raise DimensionMismatch(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
-    if not 0.0 < contour_level_fraction < 1.0:
-        raise NonPositiveInput(
-            f"contour_level_fraction must be in (0, 1), got {contour_level_fraction}"
-        )
     resolution = int(resolution)
     q1 = project_params(_check_projection(a, p1.dim), p1)
     q2 = project_params(a, p2)
 
-    if bounds is None:
-        half = [4.0 * np.sqrt(np.diag(q.covariance)) for q in (q1, q2)]
-        bounds = tuple(zip(np.minimum(q1.mean - half[0], q2.mean - half[1]),
-                           np.maximum(q1.mean + half[0], q2.mean + half[1])))
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
-    if not (x_lo < x_hi and y_lo < y_hi):
-        raise DimensionMismatch(f"bounds must be increasing, got {bounds}")
-
-    x_axis = np.linspace(x_lo, x_hi, resolution)
-    y_axis = np.linspace(y_lo, y_hi, resolution)
+    half = [4.0 * np.sqrt(np.diag(q.covariance)) for q in (q1, q2)]
+    lo = np.minimum(q1.mean - half[0], q2.mean - half[1])
+    hi = np.maximum(q1.mean + half[0], q2.mean + half[1])
+    x_axis = np.linspace(lo[0], hi[0], resolution)
+    y_axis = np.linspace(lo[1], hi[1], resolution)
     xx, yy = np.meshgrid(x_axis, y_axis, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     values1 = np.exp(log_density(q1, pts)).reshape(resolution, resolution)
     values2 = np.exp(log_density(q2, pts)).reshape(resolution, resolution)
-    return DensityGrid(x_axis, y_axis, values1, values2, float(contour_level_fraction),
+    return DensityGrid(x_axis, y_axis, values1, values2,
                        float(np.exp(log_density(q1, q1.mean))),
                        float(np.exp(log_density(q2, q2.mean))))

@@ -56,12 +56,12 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def numerical_rank(a: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Number of singular values above rtol * sigma_max."""
+def numerical_rank(a: np.ndarray) -> int:
+    """Number of singular values above RANK_RTOL * sigma_max."""
     s = np.linalg.svd(np.atleast_2d(a), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,25 +15,30 @@ from scipy.linalg import cho_solve
 
 from .errors import NonPositiveInput, NotPositiveDefinite, NumericalError
 from .gaussian import GaussianParams, _check_projection, _check_same_dim, kld, kld_projected
+from .linalg import orthonormalize_rows
+from .projections import FRAME_ORIGINAL, ProjectionResult
 from .synth import rng_from_seed
+
+
+# Adam's moment decay rates and the guard added to its step's denominator.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+# A run plateaus once its gain over the last ``patience`` steps is at most
+# this, relative to max(1, |objective|).
+_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class AscentOptions:
-    """Adam hyperparameters and stopping rules.
+    """Adam step size and stopping rules.
 
     Stopping is plateau based: after ``patience`` iterations, the run
     converges once the objective gain over the last ``patience`` steps drops
-    below ``rel_tol`` relative to the objective scale.  A run takes at least
+    below ``_REL_TOL`` relative to the objective scale.  A run takes at least
     one step: ``max_iters`` must be >= 1.
     """
 
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_iters: int = 5000
-    rel_tol: float = 1e-9
     patience: int = 50
 
     def __post_init__(self):
@@ -101,8 +106,9 @@ def _value_and_gradient(a: np.ndarray, p1: GaussianParams, p2: GaussianParams) -
     )
 
 
-def finite_difference_gradient(a, p1: GaussianParams, p2: GaussianParams, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of kld_projected, entry by entry."""
+def finite_difference_gradient(a, p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
+    """Central-difference gradient of kld_projected, entry by entry, at step 1e-5."""
+    h = 1e-5
     a = np.atleast_2d(np.asarray(a, dtype=float))
     grad = np.zeros_like(a)
     for i in range(a.shape[0]):
@@ -146,11 +152,11 @@ def gradient_ascent(
     v = np.zeros_like(a)
     reason = "max_iters"
     for t in range(1, opts.max_iters + 1):
-        m = opts.beta1 * m + (1.0 - opts.beta1) * g
-        v = opts.beta2 * v + (1.0 - opts.beta2) * g * g
-        m_hat = m / (1.0 - opts.beta1**t)
-        v_hat = v / (1.0 - opts.beta2**t)
-        step = opts.learning_rate * m_hat / (np.sqrt(v_hat) + opts.eps)
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * g * g
+        m_hat = m / (1.0 - _BETA1**t)
+        v_hat = v / (1.0 - _BETA2**t)
+        step = opts.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
 
         for _ in range(21):
             try:
@@ -170,7 +176,7 @@ def gradient_ascent(
             best_f, best_a = f, a.copy()
         if t >= opts.patience:
             anchor = iterates[t - opts.patience][1]
-            if f - anchor <= opts.rel_tol * max(1.0, abs(anchor)):
+            if f - anchor <= _REL_TOL * max(1.0, abs(anchor)):
                 reason = "plateau"
                 break
     return AscentTrace(
@@ -180,3 +186,27 @@ def gradient_ascent(
         iterations_run=t,
         reason=reason,
     )
+
+
+def refine_fit(
+    result: ProjectionResult,
+    p1: GaussianParams,
+    p2: GaussianParams,
+    options: AscentOptions | None = None,
+) -> tuple[ProjectionResult, AscentTrace]:
+    """Refine a closed-form fit by ascent; the refined fit never retains less.
+
+    The ascent starts from the fit's original-frame rows; its best iterate is
+    orthonormalized and re-evaluated.  Rounding in that re-evaluation can land
+    below the start, and then the start's rows and value are kept.  The result
+    is tagged "<method>_refined", in the original frame, with the fit's warnings.
+    """
+    start = result.in_original_frame()
+    trace = gradient_ascent(start, p1, p2, options)
+    matrix = orthonormalize_rows(trace.final_matrix)
+    value = kld_projected(matrix, p1, p2)
+    if value < result.achieved_kld:
+        matrix, value = start, result.achieved_kld
+    refined = ProjectionResult(matrix, FRAME_ORIGINAL, f"{result.method}_refined", value,
+                               warnings=result.warnings)
+    return refined, trace

@@ -41,11 +41,11 @@ class SpdSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise DimensionMismatch(f"dim must be >= 1, got {self.dim}")
-        if self.eig_min <= 0.0:
+        if not self.eig_min > 0.0:  # NaN fails every comparison
             raise NonPositiveInput(f"eig_min must be > 0, got {self.eig_min}")
-        if self.eig_max < self.eig_min:
+        if not self.eig_min <= self.eig_max < np.inf:
             raise NonPositiveInput(
-                f"eig_max must be >= eig_min, got [{self.eig_min}, {self.eig_max}]"
+                f"eig_max must be finite and >= eig_min, got [{self.eig_min}, {self.eig_max}]"
             )
 
 
@@ -101,10 +101,9 @@ def random_class_params(
 
     mean_scale directly steers the mean/covariance divergence split of a
     random pair: scaling both means by c scales d_mu by c^2 and leaves
-    d_sigma untouched.
+    d_sigma untouched.  The covariance recipe is checked as an SpdSpec.
     """
-    if dim < 1:
-        raise DimensionMismatch(f"dim must be >= 1, got {dim}")
+    SpdSpec(dim, eig_min, eig_max, seed)
     rng = rng_from_seed(seed)
     mean = mean_scale * rng.standard_normal(dim)
     cov = _random_spd(rng, dim, eig_min, eig_max)

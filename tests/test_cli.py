@@ -18,7 +18,7 @@ from klproj import (
     spd_inv_sqrt,
     sym_eig,
 )
-from klproj import cli
+from klproj import refine
 from klproj.cli import main
 from klproj.evaluate import MAX_RESOLUTION
 from klproj.fileio import (
@@ -148,7 +148,7 @@ class TestFit:
         assert run(["fit", "--params", *params, "--r", 2, "--out", start]) == 0
         start_record = read_json(start)
         below = np.nextafter(start_record["achieved_kld"], -np.inf)
-        monkeypatch.setattr(cli, "kld_projected", lambda a, p1, p2: below)
+        monkeypatch.setattr(refine, "kld_projected", lambda a, p1, p2: below)
         assert run(["fit", "--params", *params, "--r", 2, "--refine", "--out", refined]) == 0
         record = read_json(refined)
         ref = record["refinement"]
@@ -293,6 +293,15 @@ class TestMalformedInput:
                     "--max-iters", max_iters, "--out", out])
         self.assert_input_error(code, capsys, mentions="max_iters", error="NonPositiveInput")
         assert not out.exists()
+
+    @pytest.mark.parametrize("eig_min, eig_max", [
+        (0.0, 10.0), (-1.0, 10.0), (5.0, 1.0), ("nan", 10.0), (0.1, "nan"), (0.1, "inf"),
+    ], ids=["eig-min-zero", "eig-min-negative", "range-reversed", "eig-min-nan", "eig-max-nan",
+            "eig-max-inf"])
+    def test_gen_bad_eigenvalue_range(self, tmp_path, capsys, eig_min, eig_max):
+        code = run(["gen", "--d", 3, "--seed", 1, "--eig-min", eig_min, "--eig-max", eig_max,
+                    "--out-dir", tmp_path / "g"])
+        self.assert_input_error(code, capsys, mentions="eig_", error="NonPositiveInput")
 
     def test_empty_dataset_csv(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

@@ -1,5 +1,7 @@
 """Gradient correctness and ascent behavior for projection refinement."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,20 @@ class TestAscent:
                 assert linalg.numerical_rank(a) == 1
                 with pytest.raises(NotPositiveDefinite):
                     refine._value_and_gradient(a, p1, p2)
+
+
+class TestRefineFit:
+    def test_tags_the_original_frame_rows_and_keeps_warnings(self):
+        p1 = random_class_params(6, 0.3, 5.0, 1.0, 451)
+        p2 = random_class_params(6, 0.3, 5.0, 1.0, 452)
+        start = dataclasses.replace(whitened_component_projection(p1, p2, 2), warnings=("w",))
+        refined, trace = refine.refine_fit(start, p1, p2, AscentOptions(max_iters=100))
+        assert (refined.method, refined.frame, refined.warnings) == ("alg2_refined", "original", ("w",))
+        assert refined.matrix_original is None and refined.component_scores is None
+        # the best iterate, orthonormalized, re-evaluated
+        assert refined.achieved_kld > start.achieved_kld
+        np.testing.assert_array_equal(refined.matrix, linalg.orthonormalize_rows(trace.final_matrix))
+        assert refined.achieved_kld == kld_projected(refined.matrix, p1, p2)
 
 
 class TestAscentWork:

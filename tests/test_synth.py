@@ -59,6 +59,18 @@ class TestRandomClassParams:
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.covariance, b.covariance)
 
+    @pytest.mark.parametrize("dim, eig_min, eig_max, error", [
+        (0, 0.5, 2.0, DimensionMismatch),
+        (3, 0.0, 2.0, NonPositiveInput),
+        (3, -1.0, 2.0, NonPositiveInput),
+        (3, 5.0, 1.0, NonPositiveInput),
+        (3, float("nan"), 2.0, NonPositiveInput),
+        (3, 0.5, float("inf"), NonPositiveInput),
+    ])
+    def test_recipe_checked_as_spd_spec(self, dim, eig_min, eig_max, error):
+        with pytest.raises(error):
+            random_class_params(dim, eig_min, eig_max, 1.0, 29)
+
     def test_zero_mean_scale(self):
         p = random_class_params(3, 0.5, 2.0, 0.0, 31)
         np.testing.assert_array_equal(p.mean, np.zeros(3))
