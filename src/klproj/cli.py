@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import KlprojError
+from .errors import DimensionMismatch, KlprojError, NonPositiveInput
 from .gaussian import (
     GaussianParams,
     LabeledDataset,
@@ -38,14 +38,14 @@ from .gaussian import (
 from .projections import (
     FRAME_WHITENED,
     ProjectionResult,
+    _auto,
     _ClassPair,
-    fit_auto,
+    _mean_first,
+    _whitened_component,
     lda_direction,
     lol_projection,
-    mean_first_projection,
     multiclass_lda,
     select_regime,
-    whitened_component_projection,
 )
 from .refine import AscentOptions, refine_fit
 from .evaluate import MAX_RESOLUTION, density_grid, pairwise_preservation, plugin_classifier_train, sweep_r
@@ -53,18 +53,14 @@ from .synth import ChannelSpec, embed_channel, random_class_params, sample, sub_
 from . import fileio
 
 
-def _print_wrote(path: Path) -> None:
-    print(f"wrote {path}")
-
-
 def _write_json(path: Path, record: dict) -> None:
     fileio.write_json(path, record)
-    _print_wrote(path)
+    print(f"wrote {path}")
 
 
 def _write_csv(path: Path, header: list, columns, config: dict) -> None:
     fileio.write_csv(path, header, columns)
-    _print_wrote(path)
+    print(f"wrote {path}")
     _write_json(path.with_suffix(".config.json"), {"kind": "config", "config": config})
 
 
@@ -83,6 +79,10 @@ def _config(args) -> dict:
 
 
 def cmd_gen(args) -> int:
+    if args.classes < 2:
+        raise DimensionMismatch(f"--classes must be at least 2, got {args.classes}")
+    if min(args.n, args.n_test) < 0:
+        raise NonPositiveInput(f"--n and --n-test must be >= 0, got {args.n} and {args.n_test}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     config = _config(args)
@@ -136,7 +136,7 @@ def cmd_gen(args) -> int:
         labels = np.repeat(np.arange(1, len(classes) + 1), count)
         data = LabeledDataset(np.vstack(blocks), labels)
         fileio.dataset_to_csv(out / name, data)
-        _print_wrote(out / name)
+        print(f"wrote {out / name}")
         _write_json((out / name).with_suffix(".config.json"), {"kind": "config", "config": config})
     return 0
 
@@ -146,12 +146,8 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_classes(args) -> tuple[list[GaussianParams], np.ndarray | None]:
-    """Class parameters from --params files or estimated from --dataset.
-
-    Returns the parameter list and, for the dataset route, the pooled
-    covariance estimate (None otherwise).
-    """
+def _load_classes(args) -> tuple[list[GaussianParams], LabeledDataset | None]:
+    """Class parameters from --params files or estimated from --dataset, and the dataset."""
     if args.params and args.dataset:
         raise ValueError("pass either --params or --dataset, not both")
     if args.params:
@@ -159,34 +155,29 @@ def _load_classes(args) -> tuple[list[GaussianParams], np.ndarray | None]:
         return [fileio.params_from_dict(rec) for rec in records], None
     if args.dataset:
         data = fileio.dataset_from_csv(args.dataset)
-        ridge = getattr(args, "ridge", 0.0)
-        plist = [estimate_params(data, int(lab), ridge) for lab in data.class_labels]
-        return plist, pooled_covariance(data)
+        return [estimate_params(data, int(lab), args.ridge) for lab in data.class_labels], data
     raise ValueError("one of --params or --dataset is required")
 
 
-def _fit_two_class(args, p1: GaussianParams, p2: GaussianParams,
-                   pooled: np.ndarray | None) -> ProjectionResult:
-    if args.r is None:
-        raise ValueError(f"--r is required for method {args.method!r}")
+def _fit_two_class(args, pair: _ClassPair, data: LabeledDataset | None) -> ProjectionResult:
     r = args.r
     if args.method == "auto":
-        return fit_auto(p1, p2, r, mode=args.mode)
+        return _auto(pair, r, args.mode)
     if args.method == "alg1":
-        return mean_first_projection(p1, p2, r)
+        return _mean_first(pair, r)
     if args.method == "alg2":
-        return whitened_component_projection(p1, p2, r)
+        return _whitened_component(pair, r)
     if args.method == "lol":
-        return lol_projection(p1, p2, r, pooled_cov=pooled)
+        pooled = None if data is None else pooled_covariance(data)
+        return lol_projection(pair.p1, pair.p2, r, pooled_cov=pooled)
     if args.method == "lda":
         if r != 1:
             raise ValueError("lda produces a single direction; use --r 1")
-        return lda_direction(p1, p2)
-    raise ValueError(f"unknown method {args.method!r}")
+        return lda_direction(pair.p1, pair.p2)
 
 
 def cmd_fit(args) -> int:
-    plist, pooled = _load_classes(args)
+    plist, data = _load_classes(args)
     if args.swap:
         plist = plist[::-1]
     config = _config(args)
@@ -196,23 +187,21 @@ def cmd_fit(args) -> int:
         if args.refine:
             raise ValueError("refinement applies to two-class projections only")
         result = multiclass_lda(plist, r=args.r)
-        ratios = pairwise_preservation(plist, result.matrix)
-        extras["pairwise_preservation"] = ratios.tolist()
+        extras["pairwise_preservation"] = pairwise_preservation(plist, result.matrix).tolist()
     else:
         if len(plist) != 2:
-            raise ValueError(
-                f"method {args.method!r} uses exactly 2 classes, got {len(plist)}"
-            )
-        p1, p2 = plist
-        result = _fit_two_class(args, p1, p2, pooled)
-        report = select_regime(p1, p2, result.r)
-        extras["full_kld"] = report.d_mu + report.d_sigma
-        extras["regime"] = asdict(report)
+            raise ValueError(f"method {args.method!r} uses exactly 2 classes, got {len(plist)}")
+        if args.r is None:
+            raise ValueError(f"--r is required for method {args.method!r}")
+        pair = _ClassPair(*plist)
+        result = _fit_two_class(args, pair, data)
+        extras["full_kld"] = pair.split.total
+        extras["regime"] = asdict(pair.regime(result.r))
         if args.refine:
             opts = AscentOptions() if args.max_iters is None else AscentOptions(
                 max_iters=args.max_iters
             )
-            refined, trace = refine_fit(result, p1, p2, opts)
+            refined, trace = refine_fit(result, *plist, opts)
             extras["refinement"] = {
                 "initial_kld": result.achieved_kld,
                 "refined_kld": refined.achieved_kld,
@@ -242,7 +231,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     projections = [fileio.projection_from_dict(fileio.read_json(f)) for f in args.projection]
-    plist, pooled = _load_classes(args)
+    plist, _ = _load_classes(args)
     if len(plist) != 2:
         raise ValueError(f"evaluation compares exactly 2 classes, got {len(plist)}")
     p1, p2 = plist
@@ -366,12 +355,12 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_class_source(sub, ridge_default: float = 0.0) -> None:
+def _add_class_source(sub) -> None:
     sub.add_argument("--params", nargs="+", metavar="FILE",
                      help="class parameter JSON files, one per class")
     sub.add_argument("--dataset", metavar="CSV",
                      help="labeled dataset CSV; class parameters are estimated")
-    sub.add_argument("--ridge", type=float, default=ridge_default,
+    sub.add_argument("--ridge", type=float, default=0.0,
                      help="diagonal loading fraction for covariance estimates")
 
 

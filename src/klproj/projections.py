@@ -47,7 +47,6 @@ from .gaussian import (
     component_kld,
     g_score,
     kld_projected,
-    kld_split,
 )
 
 # Class means closer than MEANS_RTOL * max(1, |m1|, |m2|) count as equal for
@@ -170,7 +169,7 @@ class _ClassPair(linalg.WhitenedPencil):
 
     L is class 1's cached ``factor``, which kld reads too.  x -> L^-1 (x - m1)
     maps the pair to N(0, I) vs N(``whitened_mean``, L^-1 S2 L^-T).  alg1,
-    alg2 and the regime rule (``split``) all read the one eigendecomposition
+    alg2 and the regime rule (``split``, ``regime``) all read the one eigendecomposition
     U, lambda of L^-1 S2 L^-T: all of lambda and ``eig_mean``, but only the
     columns of U they select, formed on demand from U's kept reflectors.  A
     pair lives only as long as the call that built it.
@@ -192,6 +191,12 @@ class _ClassPair(linalg.WhitenedPencil):
         d_mu = 0.5 * float(np.sum(self.eig_mean**2 / lam))
         d_sigma = max(0.0, float(np.sum(g_score(lam))))  # terms >= 0 up to rounding
         return KldBreakdown(total=d_mu + d_sigma, d_mu=d_mu, d_sigma=d_sigma)
+
+    def regime(self, r: int) -> RegimeReport:
+        """The regime rule applied to ``split`` at rank r."""
+        split, r = self.split, int(r)
+        recommendation, threshold = regime_recommendation(split.d_mu, split.d_sigma, r)
+        return RegimeReport(split.d_mu, split.d_sigma, r, threshold, recommendation)
 
     def whitened_axes(self) -> tuple[GaussianParams, GaussianParams]:
         """The pair along U, axes in alg2's order: N(0, I) vs N(m, diag(lambda))."""
@@ -242,32 +247,33 @@ def mean_first_projection(p1: GaussianParams, p2: GaussianParams, r: int) -> Pro
 
 
 def _mean_first(pair: _ClassPair, r: int) -> ProjectionResult:
-    p1, p2 = pair.p1, pair.p2
-    r = _check_r(r, p1.dim)
+    r = _check_r(r, pair.p1.dim)
     lam = pair.eigenvalues
     scores = g_score(lam)
-    order = _ranked(scores, lam)
-
-    warnings: tuple = ()
-    rows: list[np.ndarray] = []
-    if _means_equal(p1, p2):
-        warnings = (
-            "class means coincide; the discriminant row is undefined and was "
-            "replaced by the next covariance-contrast direction",
-        )
-    else:
-        # S2^-1 (m2 - m1) = L^-T U diag(1 / lambda) U^T L^-1 (m2 - m1)
-        rows.append(pair.unwhiten(pair.combine(pair.eig_mean / lam)))
-    rows, picked = _greedy_fill(rows, _pencil_candidates(pair, order, scores, r), r)
-    matrix = linalg.orthonormalize_rows(np.vstack(rows))
+    # S2^-1 (m2 - m1) = L^-T U diag(1 / lambda) U^T L^-1 (m2 - m1)
+    matrix, picked, warnings = _mean_row_fill(
+        pair.p1, pair.p2, pair.unwhiten(pair.combine(pair.eig_mean / lam)),
+        _pencil_candidates(pair, _ranked(scores, lam), scores, r), r,
+        "class means coincide; the discriminant row is undefined and was "
+        "replaced by the next covariance-contrast direction",
+    )
     return ProjectionResult(
         matrix=matrix,
         frame=FRAME_ORIGINAL,
         method="alg1",
-        achieved_kld=kld_projected(matrix, p1, p2),
+        achieved_kld=kld_projected(matrix, pair.p1, pair.p2),
         component_scores=tuple(picked),
         warnings=warnings,
     )
+
+
+def _mean_row_fill(p1: GaussianParams, p2: GaussianParams, first_row: np.ndarray, candidates,
+                   r: int, warning: str) -> tuple[np.ndarray, list[float], tuple]:
+    """(rows, fill scores, warnings) of alg1 and lol: ``first_row`` unless the means
+    coincide (then ``warning``), filled from ``candidates`` to r, orthonormalized."""
+    equal = _means_equal(p1, p2)
+    rows, picked = _greedy_fill([] if equal else [first_row], candidates, r)
+    return linalg.orthonormalize_rows(np.vstack(rows)), picked, (warning,) if equal else ()
 
 
 def _pencil_candidates(pair: _ClassPair, order: np.ndarray, scores: np.ndarray, r: int):
@@ -350,25 +356,25 @@ def regime_recommendation(d_mu: float, d_sigma: float, r: int) -> tuple[str, flo
 
 
 def select_regime(p1: GaussianParams, p2: GaussianParams, r: int) -> RegimeReport:
-    """Split the divergence and recommend a construction for this r."""
-    split = kld_split(p1, p2)
-    recommendation, threshold = regime_recommendation(split.d_mu, split.d_sigma, int(r))
-    return RegimeReport(split.d_mu, split.d_sigma, int(r), threshold, recommendation)
+    """Split the divergence off the pair's spectrum and recommend a construction for this r."""
+    return _ClassPair(p1, p2).regime(r)
 
 
 def fit_auto(p1: GaussianParams, p2: GaussianParams, r: int, mode: str = "rule") -> ProjectionResult:
     """Fit a projection, choosing the construction automatically.
 
-    mode "rule" applies select_regime's rule to the pair's spectral split
-    (running both constructions when it says "compare_both"); mode "compare"
-    always runs both and returns the larger retained divergence.  Ties go to
-    the mean-first construction.
+    mode "rule" follows select_regime's recommendation (running both
+    constructions when it says "compare_both"); mode "compare" always runs
+    both and returns the larger retained divergence.  Ties go to the
+    mean-first construction.
     """
     if mode not in ("rule", "compare"):
         raise ValueError(f"mode must be 'rule' or 'compare', got {mode!r}")
-    pair = _ClassPair(p1, p2)
-    split = pair.split if mode == "rule" else None
-    use = regime_recommendation(split.d_mu, split.d_sigma, int(r))[0] if split else "compare_both"
+    return _auto(_ClassPair(p1, p2), r, mode)
+
+
+def _auto(pair: _ClassPair, r: int, mode: str) -> ProjectionResult:
+    use = pair.regime(r).recommendation if mode == "rule" else "compare_both"
     fits = [fit(pair, r) for tag, fit in (("alg1", _mean_first), ("alg2", _whitened_component))
             if use in (tag, "compare_both")]
     # max keeps the first of equal values: ties go to alg1
@@ -453,17 +459,10 @@ def lol_projection(
 
 def _lol(p1: GaussianParams, p2: GaussianParams, r: int, eig: linalg.SymEigen) -> ProjectionResult:
     r = _check_r(r, p1.dim)
-
-    warnings: tuple = ()
-    rows: list[np.ndarray] = []
-    if _means_equal(p1, p2):
-        warnings = (
-            "class means coincide; using principal directions of the pooled covariance only",
-        )
-    else:
-        rows.append(p2.mean - p1.mean)
-    rows, _ = _greedy_fill(rows, zip(eig.eigenvectors.T, eig.eigenvalues), r)
-    matrix = linalg.orthonormalize_rows(np.vstack(rows))
+    matrix, _, warnings = _mean_row_fill(
+        p1, p2, p2.mean - p1.mean, zip(eig.eigenvectors.T, eig.eigenvalues), r,
+        "class means coincide; using principal directions of the pooled covariance only",
+    )
     return ProjectionResult(
         matrix=matrix,
         frame=FRAME_ORIGINAL,

@@ -8,17 +8,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scipy.linalg
+
 from klproj import (
     GaussianParams,
     ProjectionResult,
+    SpdSpec,
     component_kld,
     fit_auto,
     kld,
+    kld_split,
     orthonormalize_rows,
+    random_class_params,
+    random_spd,
     spd_inv_sqrt,
     sym_eig,
 )
-from klproj import refine
+from klproj import cli, gaussian, refine
 from klproj.cli import main
 from klproj.evaluate import MAX_RESOLUTION
 from klproj.fileio import (
@@ -231,6 +237,61 @@ class TestFit:
         assert code == 0
         assert read_json(proj)["method"] == "lol"
 
+    def test_dataset_route_pools_only_for_lol(self, tmp_path, monkeypatch):
+        out = gen_direct(tmp_path / "g", seed=23, n=200)
+        pooled, kernel = [], cli.pooled_covariance
+
+        def counted(data):
+            pooled.append(data)
+            return kernel(data)
+
+        monkeypatch.setattr(cli, "pooled_covariance", counted)
+        for method, r in (("alg2", 2), ("auto", 2), ("lda", 1)):
+            assert run(["fit", "--dataset", out / "dataset.csv", "--r", r, "--method", method,
+                        "--out", tmp_path / f"{method}.json"]) == 0
+        assert run(["regime", "--dataset", out / "dataset.csv", "--r", 2]) == 0
+        assert pooled == []
+        assert run(["fit", "--dataset", out / "dataset.csv", "--r", 2, "--method", "lol",
+                    "--out", tmp_path / "lol.json"]) == 0
+        assert len(pooled) == 1
+
+    def test_method_follows_the_recorded_regime_at_the_boundary(self, tmp_path):
+        # mean scale 8 ulps below the r=2 boundary d_mu = d_sigma: a split read
+        # off other factors lands on the other side of the rule
+        s1, s2 = random_spd(SpdSpec(12, 0.2, 5.0, 1000)), random_spd(SpdSpec(12, 0.2, 5.0, 2000))
+        off = np.random.default_rng(0).standard_normal(12)
+        p1 = GaussianParams(np.zeros(12), s1)
+        b = kld_split(p1, GaussianParams(off, s2))
+        p2 = GaussianParams(math.sqrt(b.d_sigma / b.d_mu) * (1 - 8 * 2.2e-16) * off, s2)
+        files = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, p in zip(files, (p1, p2)):
+            write_json(path, params_to_dict(p))
+        assert run(["fit", "--params", *files, "--r", 2, "--out", tmp_path / "proj.json"]) == 0
+        record = read_json(tmp_path / "proj.json")
+        assert record["method"] == record["regime"]["recommendation"]
+
+    def test_fit_factors_the_pair_once(self, tmp_path, monkeypatch):
+        files = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, seed in zip(files, (41, 42)):
+            write_json(path, params_to_dict(random_class_params(40, 0.2, 5.0, 1.0, seed)))
+        sytrds, pieces = [], []
+        sytrd, kld_pieces = scipy.linalg.lapack.dsytrd, gaussian._kld_pieces
+
+        def counted_sytrd(a, *args, **kwargs):
+            sytrds.append(np.shape(a))
+            return sytrd(a, *args, **kwargs)
+
+        def counted_pieces(p1, p2):
+            pieces.append(p1.dim)
+            return kld_pieces(p1, p2)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", counted_sytrd)
+        monkeypatch.setattr(gaussian, "_kld_pieces", counted_pieces)
+        assert run(["fit", "--params", *files, "--r", 2, "--out", tmp_path / "proj.json"]) == 0
+        # the split and the regime are read off the fit's own pair
+        assert sytrds.count((40, 40)) == 1
+        assert 40 not in pieces
+
 
 class TestMalformedInput:
     """Malformed files exit 2 with one JSON error line, never a traceback."""
@@ -302,6 +363,18 @@ class TestMalformedInput:
         code = run(["gen", "--d", 3, "--seed", 1, "--eig-min", eig_min, "--eig-max", eig_max,
                     "--out-dir", tmp_path / "g"])
         self.assert_input_error(code, capsys, mentions="eig_", error="NonPositiveInput")
+
+    @pytest.mark.parametrize("classes", [0, 1, -2])
+    def test_gen_too_few_classes(self, tmp_path, capsys, classes):
+        code = run(["gen", "--d", 3, "--seed", 1, "--classes", classes, "--out-dir", tmp_path / "g"])
+        self.assert_input_error(code, capsys, mentions="--classes")
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("flag", ["--n", "--n-test"])
+    def test_gen_negative_sample_count(self, tmp_path, capsys, flag):
+        code = run(["gen", "--d", 3, "--seed", 1, flag, -3, "--out-dir", tmp_path / "g"])
+        self.assert_input_error(code, capsys, mentions="--n", error="NonPositiveInput")
+        assert not (tmp_path / "g").exists()
 
     def test_empty_dataset_csv(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

@@ -473,9 +473,15 @@ class TestPairFactoredOnce:
         p1, p2 = channel_pair()
         eighs = self.count_full(monkeypatch, np.linalg, "eigh", p1.dim)
         sytrds = self.count_full(monkeypatch, scipy.linalg.lapack, "dsytrd", p1.dim)
-        splits = []
-        for module in (gaussian, projections):
-            monkeypatch.setattr(module, "kld_split", lambda *args: splits.append(args))
+        splits, pieces = [], gaussian._kld_pieces
+
+        def counted(q1, q2):
+            if q1.dim == p1.dim:
+                splits.append(1)
+            return pieces(q1, q2)
+
+        # kld and kld_split both read _kld_pieces
+        monkeypatch.setattr(gaussian, "_kld_pieces", counted)
         for mode in ("rule", "compare"):
             for r in (1, 2):
                 sytrds.clear()
@@ -544,6 +550,33 @@ class TestPairFactoredOnce:
         for r in (2, 3, 5):
             rule = select_regime(p1, p2, r).recommendation
             assert fit_auto(p1, p2, r, mode="rule").method == rule
+
+
+def boundary_pairs(seed, ulps, d=12):
+    """Pairs whose mean scale sits each of ``ulps`` ulps off the r=2 boundary d_mu = d_sigma."""
+    s1 = random_spd(SpdSpec(d, 0.2, 5.0, 1000 + seed))
+    s2 = random_spd(SpdSpec(d, 0.2, 5.0, 2000 + seed))
+    offset = np.random.default_rng(seed).standard_normal(d)
+    p1 = GaussianParams(np.zeros(d), s1)
+    b = kld_split(p1, GaussianParams(offset, s2))
+    scale = math.sqrt(b.d_sigma / b.d_mu)
+    return [(p1, GaussianParams(scale * (1 + u * 2.2e-16) * offset, s2)) for u in ulps]
+
+
+class TestOneSplitDecides:
+    def test_select_regime_names_the_fit_auto_choice_at_the_boundary(self):
+        disagree = [(seed, ulps) for seed in range(40)
+                    for ulps, (p1, p2) in zip(range(-40, 41), boundary_pairs(seed, range(-40, 41)))
+                    if select_regime(p1, p2, 2).recommendation != fit_auto(p1, p2, 2).method]
+        assert disagree == []
+
+    def test_regime_report_reads_the_spectral_split(self):
+        p1, p2 = channel_pair()
+        pair = _ClassPair(p1, p2)
+        for r in (1, 2, 5):
+            report = select_regime(p1, p2, r)
+            assert (report.d_mu, report.d_sigma) == (pair.split.d_mu, pair.split.d_sigma)
+            assert report == pair.regime(r)
 
 
 def scaled_proportional_pair(offset_scale=1.0, cov_scale=1.0, d=10, seed=331):
