@@ -69,15 +69,20 @@ def write_csv(path, header: list, columns) -> None:
 
     A column's dtype picks its cell format: floats %.17g, integers %d and
     strings %s.  A table without strings is formatted from a float64 array,
-    so its integer cells must stay below 2**53 in magnitude.
+    so its integer cells must stay below 2**53 in magnitude.  The bytes are
+    np.savetxt's, formatted in blocks of about 256 cells per ``%``.
     """
     columns = [np.asarray(column) for column in columns]
     fmt = [_CSV_FORMATS[column.dtype.kind] for column in columns]
     table = np.empty((len(columns[0]), len(columns)), dtype=object if "%s" in fmt else float)
     for j, column in enumerate(columns):
         table[:, j] = column
+    row, size = ",".join(fmt), max(1, 256 // len(fmt))
     with _atomic_handle(path) as handle:
-        np.savetxt(handle, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+        handle.write(",".join(header) + "\n")
+        for start in range(0, len(table), size):
+            block = table[start:start + size]
+            handle.write(("\n".join([row] * len(block)) + "\n") % tuple(block.ravel().tolist()))
 
 
 def read_csv(path) -> tuple[list, np.ndarray]:
@@ -187,10 +192,16 @@ def projection_from_dict(record: dict) -> ProjectionResult:
         if record.get(key, size) != size:
             raise DimensionMismatch(
                 f"projection record {key}={record[key]!r} disagrees with its {matrix.shape} matrix")
-    scores = record.get("component_scores")
-    if not (scores is None or isinstance(scores, list)
-            and all(type(v) in (int, float) for v in scores)):
-        raise DimensionMismatch("projection record component_scores must be null or a list of numbers")
+    scores, notes = record.get("component_scores"), record.get("warnings", [])
+    for key, want, ok in (
+            ("achieved_kld", "a number", type(record["achieved_kld"]) in (int, float)),
+            ("method", "a string", isinstance(record["method"], str)),
+            ("warnings", "a list of strings",
+             isinstance(notes, list) and all(isinstance(w, str) for w in notes)),
+            ("component_scores", "null or a list of numbers", scores is None
+             or isinstance(scores, list) and all(type(v) in (int, float) for v in scores))):
+        if not ok:
+            raise DimensionMismatch(f"projection record {key} must be {want}")
     return ProjectionResult(
         matrix=matrix,
         frame=frame,
@@ -198,7 +209,7 @@ def projection_from_dict(record: dict) -> ProjectionResult:
         achieved_kld=float(record["achieved_kld"]),
         component_scores=tuple(scores) if scores is not None else None,
         matrix_original=original,
-        warnings=tuple(record.get("warnings", ())),
+        warnings=tuple(notes),
     )
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import blas, cho_solve, solve_triangular
 
 from . import linalg
 from .errors import (
@@ -56,6 +56,11 @@ MEANS_RTOL = 1e-12
 # Looser equality used by the order-invariance diagnostic, which only makes
 # sense when the means genuinely coincide.
 EQUAL_MEANS_CHECK_RTOL = 1e-10
+
+# Consecutive whitened eigenvalues lambda_i >= lambda_i+1 within
+# _CLUSTER_RTOL * max(1, lambda_i) form a cluster, one repeated eigenvalue (see
+# _ClassPair); scaled by lambda_i, so a large lambda_max merges no small ones.
+_CLUSTER_RTOL = 1e-10
 
 FRAME_ORIGINAL = "original"
 FRAME_WHITENED = "whitened-by-class1"
@@ -154,16 +159,6 @@ def _greedy_fill(rows: list[np.ndarray], candidates, r: int) -> tuple[list[np.nd
     return rows, picked_scores
 
 
-def _basis_with_first_row(v: np.ndarray) -> np.ndarray:
-    """Orthogonal d x d matrix whose first row is the unit vector v (Householder)."""
-    d = v.shape[0]
-    u = v - np.eye(d)[0]
-    nu = np.linalg.norm(u)
-    if nu < 1e-12:
-        return np.eye(d)
-    return np.eye(d) - 2.0 * np.outer(u, u) / nu**2
-
-
 class _ClassPair(linalg.WhitenedPencil):
     """A class pair factored once: the pencil (S2, S1) whitened by S1 = L L^T.
 
@@ -173,6 +168,11 @@ class _ClassPair(linalg.WhitenedPencil):
     U, lambda of L^-1 S2 L^-T: all of lambda and ``eig_mean``, but only the
     columns of U they select, formed on demand from U's kept reflectors.  A
     pair lives only as long as the call that built it.
+
+    A repeated eigenvalue has no unique eigenbasis.  A cluster whose mean
+    share |m_c| exceeds _CLUSTER_RTOL |m| takes its mean eigenvalue (exactly
+    1 when that is 1 within the tolerance), and one Householder reflector
+    puts its whole share on its first vector; other clusters stay as factored.
     """
 
     def __init__(self, p1: GaussianParams, p2: GaussianParams):
@@ -183,6 +183,22 @@ class _ClassPair(linalg.WhitenedPencil):
                                               check_finite=False)
         # m = U^T whitened_mean: the mean offset along each whitened eigendirection
         self.eig_mean = self.coords(self.whitened_mean)
+        lam, m = self.eigenvalues, self.eig_mean
+        apart = lam[:-1] - lam[1:] > _CLUSTER_RTOL * np.maximum(1.0, lam[:-1])
+        cuts, floor = [0, *np.flatnonzero(apart) + 1, lam.size], _CLUSTER_RTOL * np.linalg.norm(m)
+        for s, e in zip(cuts[:-1], cuts[1:]):
+            share = np.linalg.norm(m[s:e])
+            if e - s > 1 and share > floor:
+                mid = np.mean(lam[s:e])
+                lam[s:e] = 1.0 if abs(mid - 1.0) <= _CLUSTER_RTOL else mid
+                # H = I - 2 v v^T / v^T v, v = m_c - |m_c| e1 (v_1 without cancellation), maps
+                # m_c to |m_c| e1; Z_c <- Z_c H in place: dger on Fortran-ordered Z's block
+                v = m[s:e].copy()
+                v[0] = v[0] - share if v[0] <= 0.0 else -(v[1:] @ v[1:]) / (v[0] + share)
+                if v @ v > 0.0:
+                    z = self._z[:, s:e]
+                    blas.dger(-2.0 / (v @ v), z @ v, v, a=z, overwrite_a=1)
+                m[s + 1:e], m[s] = 0.0, share
 
     @property
     def split(self) -> KldBreakdown:
@@ -257,14 +273,9 @@ def _mean_first(pair: _ClassPair, r: int) -> ProjectionResult:
         "class means coincide; the discriminant row is undefined and was "
         "replaced by the next covariance-contrast direction",
     )
-    return ProjectionResult(
-        matrix=matrix,
-        frame=FRAME_ORIGINAL,
-        method="alg1",
-        achieved_kld=kld_projected(matrix, pair.p1, pair.p2),
-        component_scores=tuple(picked),
-        warnings=warnings,
-    )
+    return ProjectionResult(matrix=matrix, frame=FRAME_ORIGINAL, method="alg1",
+                            achieved_kld=kld_projected(matrix, pair.p1, pair.p2),
+                            component_scores=tuple(picked), warnings=warnings)
 
 
 def _mean_row_fill(p1: GaussianParams, p2: GaussianParams, first_row: np.ndarray, candidates,
@@ -299,38 +310,26 @@ def whitened_component_projection(p1: GaussianParams, p2: GaussianParams, r: int
     lambda come from a _ClassPair factored for this call (fit_auto and
     sweep_r share theirs).  Reported under the method tag "alg2".
 
-    When the whitened covariance is the identity (|lambda - 1| below
-    1e-8 * d) only the mean direction matters: the first row is the whitened
-    mean direction, completed by any orthonormal complement, retaining
-    |L^-1 (m2 - m1)|^2 / 2.  If that mean offset is below 1e-12 as well, the
-    classes are numerically identical and no projection is meaningful.
+    A repeated eigenvalue (S2 = c S1, S2 = S1) leaves U free within its
+    cluster; the pair puts the cluster's whole mean share on one vector
+    (_ClassPair, ``_CLUSTER_RTOL``), so the r largest scores are optimal
+    there too.  A spectrum within 1e-8 * d of 1 with a mean offset below
+    1e-12 means numerically identical classes: IdenticalDistributions.
     """
     return _whitened_component(_ClassPair(p1, p2), r)
 
 
 def _whitened_component(pair: _ClassPair, r: int) -> ProjectionResult:
-    d = pair.p1.dim
+    lam, d = pair.eigenvalues, pair.p1.dim
     r = _check_r(r, d)
-    lam = pair.eigenvalues
-    if np.linalg.norm(lam - 1.0) < 1e-8 * d:
-        offset = float(np.linalg.norm(pair.whitened_mean))
-        if offset < 1e-12:
-            raise IdenticalDistributions("classes are numerically indistinguishable after whitening")
-        matrix = _basis_with_first_row(pair.whitened_mean / offset)[:r]
-        picked = (0.5 * offset**2,) + (0.0,) * (r - 1)
-    else:
-        scores = component_kld(pair.eig_mean, lam)
-        sel = _ranked(scores, lam)[:r]
-        matrix = pair.columns(sel).T
-        picked = tuple(float(v) for v in scores[sel])
-    return ProjectionResult(
-        matrix=matrix,
-        frame=FRAME_WHITENED,
-        method="alg2",
-        achieved_kld=float(np.sum(picked)),
-        component_scores=picked,
-        matrix_original=linalg.orthonormalize_rows(pair.unwhiten(matrix.T).T),
-    )
+    if np.linalg.norm(lam - 1.0) < 1e-8 * d and np.linalg.norm(pair.whitened_mean) < 1e-12:
+        raise IdenticalDistributions("classes are numerically indistinguishable after whitening")
+    scores = component_kld(pair.eig_mean, lam)
+    sel = _ranked(scores, lam)[:r]
+    matrix, picked = pair.columns(sel).T, tuple(float(v) for v in scores[sel])
+    return ProjectionResult(matrix=matrix, frame=FRAME_WHITENED, method="alg2",
+                            achieved_kld=float(np.sum(picked)), component_scores=picked,
+                            matrix_original=linalg.orthonormalize_rows(pair.unwhiten(matrix.T).T))
 
 
 # ---------------------------------------------------------------------------

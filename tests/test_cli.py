@@ -426,8 +426,15 @@ class TestMalformedInput:
         ("dim", lambda rec: rec["dim"] + 1),
         ("component_scores", lambda rec: 5),
         ("component_scores", lambda rec: ["high", "low"]),
+        ("achieved_kld", lambda rec: None),
+        ("achieved_kld", lambda rec: [1]),
+        ("achieved_kld", lambda rec: "x"),
+        ("warnings", lambda rec: 5),
+        ("warnings", lambda rec: None),
+        ("method", lambda rec: [1]),
     ], ids=["matrix-scalar", "matrix-ragged", "matrix-strings", "original-too-wide",
-            "r-disagrees", "dim-disagrees", "scores-scalar", "scores-strings"])
+            "r-disagrees", "dim-disagrees", "scores-scalar", "scores-strings", "kld-null",
+            "kld-list", "kld-string", "warnings-number", "warnings-null", "method-list"])
     def test_projection_with_bad_shape_or_type(self, tmp_path, param_files, capsys, field,
                                                mutate):
         proj = tmp_path / "proj.json"

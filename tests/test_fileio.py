@@ -1,5 +1,6 @@
 """On-disk formats: bit-exact floats, stable JSON, record round trips."""
 
+import io
 import json
 import math
 
@@ -149,6 +150,22 @@ class TestCsv:
         write_csv(path, ["x"], [[np.nan, np.inf, -np.inf]])
         _, table = read_csv(path)
         np.testing.assert_array_equal(table[:, 0], [np.nan, np.inf, -np.inf])
+
+    @pytest.mark.parametrize("header, columns, fmt", [
+        (["f0", "f1", "label"], [np.resize(_hard_floats(3), 1500), np.resize(_hard_floats(4), 1500),
+                                 np.repeat([1, 2], 750)], ["%.17g", "%.17g", "%d"]),
+        (["method", "r", "kld"], [np.repeat(["alg1", "lol"], 750), np.arange(1500) % 20 + 1,
+                                  np.resize(_hard_floats(5), 1500)], ["%s", "%d", "%.17g"]),
+        (["method", "r", "kld"], [(), (), ()], ["%.17g"] * 3),
+    ], ids=["floats-and-labels", "strings", "header-only"])
+    def test_bytes_match_savetxt(self, tmp_path, header, columns, fmt):
+        # 1500 rows of 3 cells span many blocks; an empty sweep writes only its header
+        path = tmp_path / "t.csv"
+        write_csv(path, header, columns)
+        table = np.array(columns, dtype=object).T if "%s" in fmt else np.array(columns, float).T
+        expect = io.BytesIO()
+        np.savetxt(expect, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+        assert path.read_bytes() == expect.getvalue()
 
 
 class TestParamsRecord:

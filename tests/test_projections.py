@@ -9,6 +9,7 @@ import scipy.linalg
 from klproj import (
     GaussianParams,
     SpdSpec,
+    component_kld,
     equal_mean_order_check,
     fit_auto,
     g_score,
@@ -645,3 +646,92 @@ class TestPencilCandidates:
         mean_first_projection(p1, p2, 2)
         # the first row, then one block of r = 2 candidates
         assert widths == [1, 2]
+
+
+def scaled_copy_pair(c, d=20):
+    """S2 = c S1 and a generic offset: the whitened spectrum is c, d times over."""
+    s1 = random_spd(SpdSpec(d, 0.2, 5.0, 7))
+    offset = np.random.default_rng(0).standard_normal(d)
+    return GaussianParams(np.zeros(d), s1), GaussianParams(offset, c * s1)
+
+
+def best_retained(p1, p2, c, r):
+    """The rank-r optimum for S2 = c S1: the whitened mean direction, then r - 1 of g(c)."""
+    offset = np.linalg.norm(scipy.linalg.solve_triangular(p1.factor, p2.mean - p1.mean, lower=True))
+    return float(component_kld(offset, c)) + (r - 1) * float(g_score(c))
+
+
+CLUSTER_SCALES = [1 + 1e-9, 1 + 1e-8, 1 + 1e-7, 1 + 1e-4, 2.0]
+
+
+class TestRepeatedEigenvalues:
+    """A cluster of repeated whitened eigenvalues carries its mean share on one vector."""
+
+    @pytest.mark.parametrize("c", CLUSTER_SCALES)
+    def test_alg2_keeps_the_best_subspace(self, c):
+        p1, p2 = scaled_copy_pair(c)
+        for r in (1, 2):
+            res = whitened_component_projection(p1, p2, r)
+            assert res.achieved_kld == pytest.approx(best_retained(p1, p2, c, r), rel=1e-10)
+            direct = kld_projected(res.in_original_frame(), p1, p2)
+            assert res.achieved_kld == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("c", CLUSTER_SCALES)
+    def test_alg1_meets_the_same_bound(self, c):
+        p1, p2 = scaled_copy_pair(c)
+        for r in (1, 2, 3):
+            res = mean_first_projection(p1, p2, r)
+            assert res.achieved_kld == pytest.approx(best_retained(p1, p2, c, r), rel=1e-10)
+
+    def test_fit_auto_reaches_the_bound(self):
+        p1, p2 = proportional_pair()
+        assert fit_auto(p1, p2, 2).achieved_kld == pytest.approx(
+            best_retained(p1, p2, 2.0, 2), rel=1e-10)
+
+    def test_planar_axes_carry_the_mean_on_one_axis(self):
+        # the pair eval --density-grid draws for a planar alg2 record of S2 = 2 S1
+        s1 = np.array([[2.0, 0.6], [0.6, 1.0]])
+        q1, q2 = GaussianParams(np.zeros(2), s1), GaussianParams(np.array([0.7, -1.3]), 2.0 * s1)
+        _, axes2 = _ClassPair(q1, q2).whitened_axes()
+        offset = np.linalg.norm(scipy.linalg.solve_triangular(q1.factor, q2.mean, lower=True))
+        assert axes2.mean[0] == pytest.approx(offset, rel=1e-12)
+        assert axes2.mean[1] == 0.0
+        np.testing.assert_allclose(axes2.covariance, 2.0 * np.eye(2), rtol=1e-12, atol=0.0)
+
+    def test_rotated_basis_still_diagonalizes(self):
+        # S1 = A A^T, S2 = A D A^T: the whitened covariance has D's repeated eigenvalues
+        rng = np.random.default_rng(351)
+        a = rng.standard_normal((8, 8)) + 3.0 * np.eye(8)
+        lam = np.array([3.0, 3.0, 3.0, 2.0, 1.0, 1.0, 0.5, 0.5])
+        p1 = GaussianParams(np.zeros(8), a @ a.T)
+        p2 = GaussianParams(a @ rng.standard_normal(8), a @ np.diag(lam) @ a.T)
+        pair = _ClassPair(p1, p2)
+        u = pair.columns(slice(None))
+        half = scipy.linalg.solve_triangular(p1.factor, p2.covariance, lower=True)
+        w = scipy.linalg.solve_triangular(p1.factor, half.T, lower=True)
+        np.testing.assert_allclose(u.T @ u, np.eye(8), atol=1e-12)
+        np.testing.assert_allclose(w @ u, u * pair.eigenvalues, atol=1e-10)
+        np.testing.assert_allclose(pair.eigenvalues, lam, rtol=1e-12)
+        assert pair.eigenvalues[4] == pair.eigenvalues[5] == 1.0
+        assert np.all(pair.eig_mean[[1, 2, 5, 7]] == 0.0)
+        np.testing.assert_allclose(pair.combine(pair.eig_mean), pair.whitened_mean, atol=1e-12)
+
+    def test_large_lambda_max_merges_no_distinct_eigenvalues(self):
+        # whitened spectrum (4e9, 2, 0.55, 0.5): 0.55 and 0.5 are distinct, though
+        # 1e-10 * lambda_max exceeds their gap; the mean touches both
+        p1 = GaussianParams(np.zeros(4), np.diag([1e-9, 1.0, 1.0, 1.0]))
+        p2 = GaussianParams(np.array([0.0, 1.0, 1.0, 0.0]), np.diag([4.0, 0.5, 0.55, 2.0]))
+        np.testing.assert_allclose(_ClassPair(p1, p2).eigenvalues, [4e9, 2.0, 0.55, 0.5],
+                                   rtol=1e-12)
+        for r in range(1, 5):
+            res = whitened_component_projection(p1, p2, r)
+            direct = kld_projected(res.in_original_frame(), p1, p2)
+            assert res.achieved_kld == pytest.approx(direct, rel=1e-12)
+
+    def test_clusters_without_mean_share_stay_as_factored(self):
+        # the channel pair's noise cluster at lambda = 1 carries only rounding of the mean
+        p1, p2 = channel_pair()
+        pair = _ClassPair(p1, p2)
+        plain = linalg.WhitenedPencil(p2.covariance, p1.covariance, p1.factor)
+        assert np.array_equal(pair.eigenvalues, plain.eigenvalues)
+        assert np.array_equal(pair.columns(slice(None)), plain.columns(slice(None)))
