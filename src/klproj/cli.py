@@ -201,7 +201,7 @@ def cmd_fit(args) -> int:
             opts = AscentOptions() if args.max_iters is None else AscentOptions(
                 max_iters=args.max_iters
             )
-            refined, trace = refine_fit(result, *plist, opts)
+            refined, trace = refine_fit(pair, result, opts)
             extras["refinement"] = {
                 "initial_kld": result.achieved_kld,
                 "refined_kld": refined.achieved_kld,

@@ -102,10 +102,10 @@ def sweep_r(
     single direction and is only emitted at r = 1.  With refine=True each
     closed-form result is refined by ``refine_fit``, and its retained
     divergence (never below the start's) is added under the tag
-    "<method>_refined".  The class pair is factored once and serves every r,
-    as does lol's pooled eigendecomposition; when alg1 or alg2 is swept,
-    full_kld is the pair's split total as well.  The table is validated
-    before it is returned.
+    "<method>_refined".  The class pair is factored once and serves every r
+    and every refinement, as lol's pooled eigendecomposition serves every r;
+    when alg1 or alg2 is swept or refine is set, full_kld is the pair's split
+    total as well.  The table is validated before it is returned.
     """
     methods = sorted(set(methods))
     for m in methods:
@@ -115,7 +115,7 @@ def sweep_r(
     if not r_values or not methods:
         raise ValueError("need at least one method and one r value")
 
-    pair = _ClassPair(p1, p2) if {"alg1", "alg2"} & set(methods) else None
+    pair = _ClassPair(p1, p2) if refine or {"alg1", "alg2"} & set(methods) else None
     full = kld(p1, p2) if pair is None else pair.split.total
     pooled = sym_eig((p1.covariance + p2.covariance) / 2.0) if "lol" in methods else None
     fitters = {
@@ -132,7 +132,7 @@ def sweep_r(
             result = fitters[method](r)
             rows.append((method, r, float(result.achieved_kld)))
             if refine:
-                refined, _ = refine_fit(result, p1, p2, options)
+                refined, _ = refine_fit(pair, result, options)
                 rows.append((f"{method}_refined", r, float(refined.achieved_kld)))
     _validate_sweep(rows, full)
     return SweepTable(rows=rows, full_kld=full)

@@ -202,12 +202,13 @@ class WhitenedPencil:
         self.eigenvalues, self._z = tri.eigenvalues, tri.eigenvectors
 
     def _apply_q(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Q x (trans "N") or Q^T x (trans "T") for the columns of x, as a new array."""
+        """Q x (trans "N") or Q^T x (trans "T") for a vector or the columns of a block, as a new array."""
         x = np.array(x, order="F")
+        block = x.reshape(x.shape[0], -1, order="F")  # a view: one ormqr for every column
         if self._tau.size:
             args = ("L", trans, self._reflectors, self._tau)
-            lwork = lapack.dormqr(*args, x[1:], -1)[1][0]
-            x[1:] = lapack.dormqr(*args, x[1:], int(lwork))[0]
+            lwork = lapack.dormqr(*args, block[1:], -1)[1][0]
+            block[1:] = lapack.dormqr(*args, block[1:], int(lwork))[0]
         return x
 
     def columns(self, idx) -> np.ndarray:
@@ -215,12 +216,12 @@ class WhitenedPencil:
         return self._apply_q(self._z[:, idx])
 
     def coords(self, v: np.ndarray) -> np.ndarray:
-        """U^T v = Z^T Q^T v: a whitened-frame vector in the eigenbasis."""
-        return self._z.T @ self._apply_q(v[:, None], "T")[:, 0]
+        """U^T v = Z^T Q^T v: whitened-frame vectors (a vector or d x k columns) in the eigenbasis."""
+        return self._z.T @ self._apply_q(v, "T")
 
     def combine(self, c: np.ndarray) -> np.ndarray:
-        """U c = Q Z c: the whitened-frame vector with eigenbasis coordinates c."""
-        return self._apply_q((self._z @ c)[:, None])[:, 0]
+        """U c = Q Z c: the whitened-frame vectors with eigenbasis coordinates c (a vector or columns)."""
+        return self._apply_q(self._z @ c)
 
     def unwhiten(self, u: np.ndarray) -> np.ndarray:
         """L^-T u: whitened-frame directions (columns) as original-frame ones."""

@@ -62,6 +62,10 @@ EQUAL_MEANS_CHECK_RTOL = 1e-10
 # _ClassPair); scaled by lambda_i, so a large lambda_max merges no small ones.
 _CLUSTER_RTOL = 1e-10
 
+# alg2 replaces alg1 only by retaining more than (1 + _TIE_RTOL) times its value:
+# a tie reached by two computations (a score sum, a re-evaluation) differs in the last bits.
+_TIE_RTOL = 1e-12
+
 FRAME_ORIGINAL = "original"
 FRAME_WHITENED = "whitened-by-class1"
 
@@ -364,8 +368,8 @@ def fit_auto(p1: GaussianParams, p2: GaussianParams, r: int, mode: str = "rule")
 
     mode "rule" follows select_regime's recommendation (running both
     constructions when it says "compare_both"); mode "compare" always runs
-    both and returns the larger retained divergence.  Ties go to the
-    mean-first construction.
+    both and returns the larger retained divergence.  Ties, up to a relative
+    ``_TIE_RTOL``, go to the mean-first construction.
     """
     if mode not in ("rule", "compare"):
         raise ValueError(f"mode must be 'rule' or 'compare', got {mode!r}")
@@ -376,8 +380,8 @@ def _auto(pair: _ClassPair, r: int, mode: str) -> ProjectionResult:
     use = pair.regime(r).recommendation if mode == "rule" else "compare_both"
     fits = [fit(pair, r) for tag, fit in (("alg1", _mean_first), ("alg2", _whitened_component))
             if use in (tag, "compare_both")]
-    # max keeps the first of equal values: ties go to alg1
-    return max(fits, key=lambda res: res.achieved_kld)
+    first, last = fits[0], fits[-1]
+    return last if last.achieved_kld > (1.0 + _TIE_RTOL) * first.achieved_kld else first
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Gradient ascent on retained divergence, without orthogonality constraints.
+"""Monotone ascent on retained divergence, in the class pair's eigenframe.
 
-The retained divergence f(A) = kld_projected(A, p1, p2) is differentiable in
-the projection matrix A wherever both projected covariances stay positive
-definite, and is invariant under row-space-preserving changes A -> T A, so
-ascent explores subspaces even though it moves through matrices.  The
-closed-form constructions are excellent starting points; ascent either
-certifies them (no improvement) or squeezes out the remainder.
+A pair factored once (``projections._ClassPair``) maps x -> U^T L^-1 (x - m1):
+class 1 becomes N(0, I) and class 2 N(m, diag(lambda)).  For orthonormal rows W
+the retained divergence there is f(W) = 1/2 [tr M^-1 - r + log det M + b^T M^-1 b]
+with M = W diag(lambda) W^T and b = W m: O(r^2 d), and M is SPD for every W.  f
+depends only on the row space, so ascent moves on the Grassmannian (Edelman,
+Arias & Smith 1998; Absil, Mahony & Sepulchre 2008): a Riemannian gradient
+step scaled by the Hessian's diagonal, a QR retraction and Armijo backtracking.
+No step size is set, no step loses ground, and the run does not depend on the
+data's linear frame.  From a closed form, ascent certifies it or improves it.
 """
 
 from dataclasses import dataclass, field
@@ -13,49 +16,45 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import NonPositiveInput, NotPositiveDefinite, NumericalError
-from .gaussian import GaussianParams, _check_projection, _check_same_dim, kld, kld_projected
+from .errors import NonPositiveInput
+from .gaussian import GaussianParams, _check_projection, _check_same_dim, kld_projected
 from .linalg import orthonormalize_rows
-from .projections import FRAME_ORIGINAL, ProjectionResult
+from .projections import FRAME_ORIGINAL, ProjectionResult, _ClassPair
 from .synth import rng_from_seed
 
 
-# Adam's moment decay rates and the guard added to its step's denominator.
-_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
-# A run plateaus once its gain over the last ``patience`` steps is at most
-# this, relative to max(1, |objective|).
+# A point is converged once the step's gain rate <g, step> is at most _GRAD_RTOL max(1, f).
+_GRAD_RTOL = 1e-11
+# Armijo's sufficient-gain fraction; a search halves the unit step up to 40 times, to 9e-13.
+_ARMIJO, _HALVINGS = 1e-4, 40
+# Hessian diagonal magnitudes are raised to at least this fraction of the largest.
+_CURVATURE_RTOL = 1e-8
+# A run plateaus once its last ``patience`` steps gain at most _REL_TOL max(1, f).
 _REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class AscentOptions:
-    """Adam step size and stopping rules.
+    """Stopping rules, each >= 1: an iteration cap and the plateau window ``patience``."""
 
-    Stopping is plateau based: after ``patience`` iterations, the run
-    converges once the objective gain over the last ``patience`` steps drops
-    below ``_REL_TOL`` relative to the objective scale.  A run takes at least
-    one step: ``max_iters`` must be >= 1.
-    """
-
-    learning_rate: float = 1e-2
     max_iters: int = 5000
     patience: int = 50
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise NonPositiveInput(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.patience < 1:
+            raise NonPositiveInput(f"patience must be >= 1, got {self.patience}")
 
 
 @dataclass(frozen=True)
 class AscentTrace:
     """Objective path of one ascent run.
 
-    ``iterates`` holds (iteration, objective) pairs; each objective is exactly
-    kld_projected at that iterate, read off the same validated projected classes.
-    ``final_matrix`` is the best-objective iterate encountered (so the final
-    objective never falls below the initial one).  ``reason`` is "plateau",
-    "max_iters", or "singular_boundary" when a step could not be shrunk back
-    into the positive definite region.
+    ``iterates`` holds (iteration, objective) pairs, nondecreasing: f in the
+    pair's frame, kld_projected of the iterate up to rounding.  ``final_matrix``
+    is the last and best iterate, in the original frame.  ``reason`` is
+    "converged", "plateau" or "max_iters"; ``converged`` holds for the first.
     """
 
     iterates: list = field(repr=False)
@@ -76,27 +75,19 @@ def kld_gradient(a, p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
     The derivation mirrors the three terms of the divergence (log-determinant
     ratio, trace, Mahalanobis); central finite differences reproduce it to
     first order and serve as the ground truth in the test suite.  The M_k^-1
-    solves read the factors of the projected classes that kld_projected validates.
+    solves read the factors of the validated projected classes.
     """
-    return _value_and_gradient(_check_projection(a, _check_same_dim(p1, p2)), p1, p2)[1]
-
-
-def _value_and_gradient(a: np.ndarray, p1: GaussianParams, p2: GaussianParams) -> tuple[float, np.ndarray]:
-    """(kld_projected, kld_gradient) at a checked ``a``, from one pair of projected classes.
-
-    No rank check: rank below RANK_RTOL fails the SPD floor, as cond(S) < 1e10.
-    """
+    a = _check_projection(a, _check_same_dim(p1, p2))
     as1 = a @ p1.covariance
     as2 = a @ p2.covariance
     m1 = as1 @ a.T
     m2 = as2 @ a.T
-    q1 = GaussianParams(a @ p1.mean, (m1 + m1.T) / 2.0)
-    q2 = GaussianParams(a @ p2.mean, (m2 + m2.T) / 2.0)
-    c1, c2 = (q1.factor, True), (q2.factor, True)
+    c1 = (GaussianParams(a @ p1.mean, (m1 + m1.T) / 2.0).factor, True)
+    c2 = (GaussianParams(a @ p2.mean, (m2 + m2.T) / 2.0).factor, True)
     delta = p2.mean - p1.mean
     w = cho_solve(c2, a @ delta)
     x2 = cho_solve(c2, as2)
-    return kld(q1, q2), (
+    return (
         x2
         - cho_solve(c1, as1)
         + cho_solve(c2, as1)
@@ -104,6 +95,30 @@ def _value_and_gradient(a: np.ndarray, p1: GaussianParams, p2: GaussianParams) -
         + np.outer(w, delta)
         - np.outer(w, as2.T @ w)
     )
+
+
+def _frame_point(w: np.ndarray, lam: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(f, Riemannian gradient g, ascent step) at orthonormal rows ``w`` of the pair frame.
+
+    With c = M^-1 b and K = M^-1 - M^-2 - c c^T, f's gradient is G = K W diag(lambda) + c m^T
+    and g = G - (G W^T) W.  With K = V diag(kappa) V^T and S = G W^T (= K M + c b^T),
+    |s_i - kappa_i lambda_j|, s = diag(V^T S V), is the Riemannian Hessian's diagonal in the
+    rotated rows V^T W, up to sign; the step divides V^T g by it, rotates back and projects.
+    """
+    b = w @ m
+    mu, p = np.linalg.eigh((w * lam) @ w.T)
+    minv = (p / mu) @ p.T
+    c = minv @ b
+    k = minv - minv @ minv - np.outer(c, c)
+    grad = k @ (w * lam) + np.outer(c, m)
+    gw = grad @ w.T
+    g = grad - gw @ w
+    kappa, v = np.linalg.eigh(k)
+    curv = np.abs(np.einsum("ji,jk,ki->i", v, gw, v)[:, None] - kappa[:, None] * lam)
+    # a Hessian diagonal that is 0 throughout means a flat objective: leave g unscaled
+    step = v @ ((v.T @ g) / np.maximum(curv, _CURVATURE_RTOL * curv.max() or 1.0))
+    f = 0.5 * float(np.sum(1.0 / mu) - mu.size + np.sum(np.log(mu)) + b @ c)
+    return f, g, step - (step @ w.T) @ w
 
 
 def finite_difference_gradient(a, p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
@@ -133,78 +148,63 @@ def gradient_ascent(
     p2: GaussianParams,
     options: AscentOptions | None = None,
 ) -> AscentTrace:
-    """Maximize retained divergence from a0 with Adam.
+    """Maximize retained divergence from a0 by monotone ascent in the pair's frame.
 
-    ``a0`` is checked once, at entry; each candidate's objective and gradient
-    share its one pair of validated projected classes.  A proposed update that
-    pushes a projected covariance out of the positive definite cone (or the
-    objective out of the finite range) is halved up to 20 times; if no scale of
-    it is admissible the run stops with converged=False and reason
-    "singular_boundary".  The returned final_matrix is the best iterate seen,
-    so refinement never loses ground against its starting point.
+    ``a0`` is checked once and the pair factored once.  The run stops
+    "converged" once the scaled step's gain rate <g, step> is at most
+    1e-11 max(1, f); "plateau" when no halving of the step gains, or the last
+    ``patience`` steps gained at most 1e-9 max(1, f); else "max_iters".
     """
-    opts = options or AscentOptions()
     a = _check_projection(a0, _check_same_dim(p1, p2))
-    f, g = _value_and_gradient(a, p1, p2)
-    best_f, best_a = f, a.copy()
-    iterates = [(0, f)]
-    m = np.zeros_like(a)
-    v = np.zeros_like(a)
-    reason = "max_iters"
+    return _ascend(_ClassPair(p1, p2), a, options)
+
+
+def _ascend(pair: _ClassPair, a: np.ndarray, options: AscentOptions | None) -> AscentTrace:
+    opts, lam, m = options or AscentOptions(), pair.eigenvalues, pair.eig_mean
+    # rows A read x = L U y + m1 as A L U y + A m1: the start's row space in the pair frame
+    w = np.linalg.qr(pair.coords(pair.factor.T @ a.T))[0].T
+    f, g, step = _frame_point(w, lam, m)
+    iterates, reason = [(0, f)], "max_iters"
     for t in range(1, opts.max_iters + 1):
-        m = _BETA1 * m + (1.0 - _BETA1) * g
-        v = _BETA2 * v + (1.0 - _BETA2) * g * g
-        m_hat = m / (1.0 - _BETA1**t)
-        v_hat = v / (1.0 - _BETA2**t)
-        step = opts.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
-
-        for _ in range(21):
-            try:
-                f, g = _value_and_gradient(a + step, p1, p2)
-            except (NotPositiveDefinite, NumericalError):
-                f = np.nan
-            if np.isfinite(f):
-                break
-            step = step / 2.0
-        else:
-            reason = "singular_boundary"
+        rate = float(np.sum(g * step))
+        if rate <= _GRAD_RTOL * max(1.0, f):
+            reason = "converged"
             break
-
-        a = a + step
-        iterates.append((t, f))
-        if f > best_f:
-            best_f, best_a = f, a.copy()
-        if t >= opts.patience:
-            anchor = iterates[t - opts.patience][1]
-            if f - anchor <= _REL_TOL * max(1.0, abs(anchor)):
-                reason = "plateau"
+        for size in 0.5 ** np.arange(_HALVINGS + 1):
+            trial = np.linalg.qr((w + size * step).T)[0].T
+            point = _frame_point(trial, lam, m)
+            if point[0] >= f + _ARMIJO * size * rate:
                 break
-    return AscentTrace(
-        iterates=iterates,
-        final_matrix=best_a,
-        converged=reason == "plateau",
-        iterations_run=t,
-        reason=reason,
-    )
+        else:
+            reason = "plateau"
+            break
+        w, (f, g, step) = trial, point
+        iterates.append((t, f))
+        if t >= opts.patience and f - iterates[t - opts.patience][1] <= _REL_TOL * max(1.0, f):
+            reason = "plateau"
+            break
+    # W y = W U^T L^-1 (x - m1): original-frame rows (L^-T U W^T)^T
+    final = pair.unwhiten(pair.combine(w.T)).T
+    return AscentTrace(iterates, final, reason == "converged", len(iterates) - 1, reason)
 
 
 def refine_fit(
+    pair: _ClassPair,
     result: ProjectionResult,
-    p1: GaussianParams,
-    p2: GaussianParams,
     options: AscentOptions | None = None,
 ) -> tuple[ProjectionResult, AscentTrace]:
-    """Refine a closed-form fit by ascent; the refined fit never retains less.
+    """Refine a closed-form fit of ``pair``'s classes by ascent; the refined fit never retains less.
 
-    The ascent starts from the fit's original-frame rows; its best iterate is
-    orthonormalized and re-evaluated.  Rounding in that re-evaluation can land
-    below the start, and then the start's rows and value are kept.  The result
-    is tagged "<method>_refined", in the original frame, with the fit's warnings.
+    The ascent runs in the caller's factored pair from the fit's original-frame
+    rows; its best iterate is orthonormalized and re-evaluated.  Rounding in
+    that re-evaluation can land below the start, and then the start's rows and
+    value are kept.  The result is tagged "<method>_refined", in the original
+    frame, with the fit's warnings.
     """
     start = result.in_original_frame()
-    trace = gradient_ascent(start, p1, p2, options)
+    trace = _ascend(pair, start, options)
     matrix = orthonormalize_rows(trace.final_matrix)
-    value = kld_projected(matrix, p1, p2)
+    value = kld_projected(matrix, pair.p1, pair.p2)
     if value < result.achieved_kld:
         matrix, value = start, result.achieved_kld
     refined = ProjectionResult(matrix, FRAME_ORIGINAL, f"{result.method}_refined", value,

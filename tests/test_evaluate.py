@@ -21,6 +21,7 @@ from klproj import (
 )
 from klproj.errors import DimensionMismatch, InsufficientSamples, NonPositiveInput, NumericalError
 from klproj.evaluate import CONTOUR_LEVEL_FRACTION, _validate_sweep, sweep_violations
+from klproj.projections import _ClassPair
 from klproj.refine import refine_fit
 from klproj.synth import SpdSpec, random_spd
 
@@ -72,7 +73,7 @@ class TestSweepR:
         p1, p2 = two_classes(581, d=6)
         options = AscentOptions(max_iters=80)
         table = sweep_r(p1, p2, ["alg1"], [3], refine=True, options=options)
-        refined, _ = refine_fit(mean_first_projection(p1, p2, 3), p1, p2, options)
+        refined, _ = refine_fit(_ClassPair(p1, p2), mean_first_projection(p1, p2, 3), options)
         assert table.rows[1] == ("alg1_refined", 3, refined.achieved_kld)
 
     def test_every_row_respects_data_processing(self):

@@ -239,6 +239,19 @@ class TestFitAuto:
         res = fit_auto(p1, p2, 1, mode="compare")
         assert res.method == "alg1"
 
+    @pytest.mark.parametrize("pair", [
+        lambda: proportional_pair(), lambda: scaled_copy_pair(2.0),
+        lambda: scaled_copy_pair(1 + 1e-4), lambda: scaled_copy_pair(1 + 1e-7),
+    ], ids=["proportional", "c=2", "c=1+1e-4", "c=1+1e-7"])
+    def test_tie_by_different_computations_goes_to_mean_first(self, pair):
+        # S2 = c S1: at r=1 both constructions reach the optimum, alg2 as a score
+        # sum and alg1 as a re-evaluation, a few ulps apart either way
+        p1, p2 = pair()
+        alg1, alg2 = (fit(p1, p2, 1).achieved_kld
+                      for fit in (mean_first_projection, whitened_component_projection))
+        assert alg2 == pytest.approx(alg1, rel=1e-13)
+        assert fit_auto(p1, p2, 1).method == "alg1"
+
     def test_bad_mode_rejected(self):
         p1 = iso([0.0, 0.0])
         p2 = iso([1.0, 0.0])
@@ -445,7 +458,8 @@ class TestPairFactoredOnce:
         for r in (1, 2, 5):
             alg1 = mean_first_projection(p1, p2, r)
             alg2 = whitened_component_projection(p1, p2, r)
-            best = alg1 if alg1.achieved_kld >= alg2.achieved_kld else alg2
+            tie = (1.0 + projections._TIE_RTOL) * alg1.achieved_kld
+            best = alg2 if alg2.achieved_kld > tie else alg1
             assert_same_result(fit_auto(p1, p2, r, mode="compare"), best)
             rule = select_regime(p1, p2, r).recommendation
             expect = {"alg1": alg1, "alg2": alg2}.get(rule, best)

@@ -8,7 +8,7 @@ import pytest
 from klproj import (
     AscentOptions,
     GaussianParams,
-    NotPositiveDefinite,
+    NonPositiveInput,
     finite_difference_gradient,
     gradient_ascent,
     kld,
@@ -20,24 +20,7 @@ from klproj import (
     whitened_component_projection,
 )
 from klproj import linalg, refine
-
-
-def toward_the_floor(variance):
-    """Classes, a start whose class-1 projected variance is ``variance``, and a learning rate.
-
-    The classes are N(0, I) and N(e1, 2 I) in d = 20.  Ascent turns the start
-    c (0.1, -1, ..., -1) toward e1, so its first Adam step is about
-    lr (1, ..., 1); with lr = -(a0 . 1) / d that full step lowers the
-    projected variance a a^T to 6% of the start's, and half of it to 29%.
-    Below unit scale the SPD floor is absolute: a variance <= 1e-10 is refused.
-    """
-    d = 20
-    u = np.full((1, d), -1.0)
-    u[0, 0] = 0.1
-    a0 = u * np.sqrt(variance / np.sum(u * u))
-    p1 = GaussianParams(np.zeros(d), np.eye(d))
-    p2 = GaussianParams(np.eye(d)[0], 2.0 * np.eye(d))
-    return p1, p2, a0, -float(a0.sum()) / d
+from klproj.projections import _ClassPair
 
 
 class TestGradient:
@@ -99,7 +82,9 @@ class TestAscent:
         best = max(values)
         # the recorded final matrix is the best iterate seen
         assert values[0] <= best
-        assert trace.iterates[0] == (0, kld_projected(a0, p1, p2))
+        # the start's objective, read in the pair's frame
+        assert trace.iterates[0][0] == 0
+        assert trace.iterates[0][1] == pytest.approx(kld_projected(a0, p1, p2), rel=1e-12)
         assert trace.iterations_run >= 1
         # re-evaluation agrees with the recorded best up to last-bit noise
         assert kld_projected(trace.final_matrix, p1, p2) == pytest.approx(
@@ -155,7 +140,7 @@ class TestAscent:
         values = [f for _, f in trace.iterates]
         assert max(values) - values[0] <= 1e-9 * max(1.0, values[0])
         assert trace.converged
-        assert trace.reason == "plateau"
+        assert trace.reason == "converged"
 
     def test_plateau_convergence_flags(self):
         p1 = random_class_params(3, 0.5, 3.0, 1.0, 461)
@@ -164,7 +149,7 @@ class TestAscent:
             random_initial_matrix(1, 3, 463), p1, p2, AscentOptions(max_iters=5000)
         )
         assert trace.converged
-        assert trace.reason == "plateau"
+        assert trace.reason == "converged"
         assert trace.iterations_run < 5000
 
     def test_max_iters_reason_when_budget_too_small(self):
@@ -186,38 +171,76 @@ class TestAscent:
         its = [t for t, _ in trace.iterates]
         assert its == list(range(len(its)))
 
-    def test_refused_step_is_halved(self):
-        p1, p2, a0, lr = toward_the_floor(1.5e-9)
-        with pytest.raises(NotPositiveDefinite):
-            kld_projected(a0 + lr, p1, p2)  # the full first step, up to Adam's eps
-        trace = gradient_ascent(a0, p1, p2, AscentOptions(learning_rate=lr, max_iters=1))
-        half = gradient_ascent(a0, p1, p2, AscentOptions(learning_rate=lr / 2, max_iters=1))
-        assert trace.iterations_run == 1
-        assert trace.reason == "max_iters"
-        assert trace.iterates == half.iterates
+    def test_iterates_never_decrease(self):
+        rng = np.random.default_rng(491)
+        for trial in range(10):
+            d = int(rng.integers(2, 9))
+            r = int(rng.integers(1, d + 1))
+            p1 = random_class_params(d, 0.2, 6.0, 1.0, 31000 + trial)
+            p2 = random_class_params(d, 0.2, 6.0, 1.0, 32000 + trial)
+            trace = gradient_ascent(random_initial_matrix(r, d, 33000 + trial), p1, p2)
+            values = [f for _, f in trace.iterates]
+            assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_singular_boundary_when_no_halving_is_admissible(self):
-        # a start just above the floor: every halving of a step toward it falls below
-        p1, p2, a0, lr = toward_the_floor(1e-10 * (1.0 + 1e-8))
-        trace = gradient_ascent(a0, p1, p2, AscentOptions(learning_rate=lr, max_iters=5))
-        assert trace.reason == "singular_boundary"
-        assert not trace.converged
-        assert trace.iterations_run == 1
-        assert trace.iterates == [(0, kld_projected(a0, p1, p2))]
-        np.testing.assert_array_equal(trace.final_matrix, a0)
+    @pytest.mark.parametrize("patience", [0, -3])
+    def test_options_refuse_patience_below_one(self, patience):
+        with pytest.raises(NonPositiveInput, match="patience"):
+            AscentOptions(patience=patience)
 
-    def test_rank_deficient_point_fails_the_spd_floor(self):
-        # candidates get no rank check of their own: rows at a singular-value
-        # ratio below RANK_RTOL put A S A^T under the SPD floor, even at cond(S) = 1e9
-        d = 6
-        ill = GaussianParams(np.zeros(d), np.diag(np.logspace(0, 9, d)))
-        other = random_class_params(d, 0.3, 5.0, 1.0, 511)
-        u, v = random_initial_matrix(2, d, 512)
-        for p1, p2 in ((ill, other), (other, ill)):
-            for a in (np.vstack([u, u]), np.vstack([u, u + 1e-11 * v])):
-                assert linalg.numerical_rank(a) == 1
-                with pytest.raises(NotPositiveDefinite):
-                    refine._value_and_gradient(a, p1, p2)
+    def test_same_run_in_a_moved_frame(self):
+        # x -> T x + s with T's singular values from 1e-2 to 1e2: the pair's frame,
+        # and so the run, is the same; the start A becomes A T^-1
+        d, r = 12, 3
+        p1 = random_class_params(d, 0.2, 5.0, 1.0, 901)
+        p2 = random_class_params(d, 0.2, 5.0, 1.0, 902)
+        rng = np.random.default_rng(903)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+        t, shift = (q1 * np.logspace(-2, 2, d)) @ q2.T, rng.standard_normal(d)
+        moved = [GaussianParams(t @ p.mean + shift, t @ p.covariance @ t.T) for p in (p1, p2)]
+        a = mean_first_projection(p1, p2, r).in_original_frame()
+        here = gradient_ascent(a, p1, p2)
+        there = gradient_ascent(a @ np.linalg.inv(t), *moved)
+        assert here.reason == there.reason == "converged"
+        assert here.iterations_run == there.iterations_run
+        assert here.iterates[-1][1] == pytest.approx(there.iterates[-1][1], rel=1e-9)
+        assert here.iterates[-1][1] > here.iterates[0][1] + 1e-3
+
+
+class TestPairFrame:
+    """The ascent's objective and gradient in the pair's frame N(0, I) vs N(m, diag(lambda))."""
+
+    @staticmethod
+    def frame_cases(seed):
+        rng = np.random.default_rng(seed)
+        for trial in range(10):
+            d = int(rng.integers(2, 9))
+            r = int(rng.integers(1, d + 1))
+            p1 = random_class_params(d, 0.2, 6.0, 1.0, seed * 100 + trial)
+            p2 = random_class_params(d, 0.2, 6.0, 1.0, seed * 100 + 50 + trial)
+            yield p1, p2, _ClassPair(p1, p2), np.linalg.qr(rng.standard_normal((d, r)))[0].T, rng
+
+    def test_objective_is_the_retained_divergence(self):
+        for p1, p2, pair, w, _ in self.frame_cases(601):
+            f = refine._frame_point(w, pair.eigenvalues, pair.eig_mean)[0]
+            rows = pair.unwhiten(pair.combine(w.T)).T
+            assert f == pytest.approx(kld_projected(rows, p1, p2), rel=1e-12)
+
+    def test_gradient_matches_central_differences(self):
+        # g is tangent, and <g, xi> is f's derivative along any tangent xi
+        h = 1e-6
+        for _, _, pair, w, rng in self.frame_cases(611):
+            lam, m = pair.eigenvalues, pair.eig_mean
+            f, g, step = refine._frame_point(w, lam, m)
+            assert np.max(np.abs(g @ w.T)) <= 1e-12 * max(1.0, np.max(np.abs(g)))
+            for _ in range(3):
+                xi = rng.standard_normal(w.shape)
+                xi -= (xi @ w.T) @ w
+                fd = (refine._frame_point(w + h * xi, lam, m)[0]
+                      - refine._frame_point(w - h * xi, lam, m)[0]) / (2.0 * h)
+                assert np.sum(g * xi) == pytest.approx(fd, rel=1e-6, abs=1e-8 * max(1.0, f))
+            # the scaled step is tangent and ascends (at r = d, g and step are rounding)
+            assert np.max(np.abs(step @ w.T)) <= 1e-12 * max(1.0, np.max(np.abs(step)))
+            assert np.sum(g * step) >= -1e-15 * max(1.0, f)
 
 
 class TestRefineFit:
@@ -225,7 +248,7 @@ class TestRefineFit:
         p1 = random_class_params(6, 0.3, 5.0, 1.0, 451)
         p2 = random_class_params(6, 0.3, 5.0, 1.0, 452)
         start = dataclasses.replace(whitened_component_projection(p1, p2, 2), warnings=("w",))
-        refined, trace = refine.refine_fit(start, p1, p2, AscentOptions(max_iters=100))
+        refined, trace = refine.refine_fit(_ClassPair(p1, p2), start, AscentOptions(max_iters=100))
         assert (refined.method, refined.frame, refined.warnings) == ("alg2_refined", "original", ("w",))
         assert refined.matrix_original is None and refined.component_scores is None
         # the best iterate, orthonormalized, re-evaluated
@@ -236,29 +259,39 @@ class TestRefineFit:
 
 class TestAscentWork:
     def test_each_point_is_projected_and_factored_once(self, monkeypatch):
+        # a point is one r x r M = W diag(lambda) W^T and its eigh: no projected
+        # classes, no r x r Cholesky; the pair is tridiagonalized once per run
         d, r = 20, 3
         p1 = random_class_params(d, 0.3, 5.0, 1.0, 521)
         p2 = random_class_params(d, 0.3, 5.0, 1.0, 522)
         a0 = random_initial_matrix(r, d, 523)
-        ranks, factors = [], []
-        rank, cholesky = linalg.numerical_rank, linalg.cholesky
+        counts = {"params": 0, "cholesky": 0, "dsytrd": 0}
+        post_init, cholesky, dsytrd = GaussianParams.__post_init__, linalg.cholesky, linalg.lapack.dsytrd
 
-        def counted_rank(a, *args):
-            ranks.append(1)
-            return rank(a, *args)
+        def counted_params(self):
+            counts["params"] += 1
+            post_init(self)
 
         def counted_cholesky(m, *args, **kwargs):
-            if m.shape == (r, r):
-                factors.append(1)
+            counts["cholesky"] += m.shape == (r, r)
             return cholesky(m, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, "numerical_rank", counted_rank)
+        def counted_dsytrd(*args, **kwargs):
+            counts["dsytrd"] += 1
+            return dsytrd(*args, **kwargs)
+
+        monkeypatch.setattr(GaussianParams, "__post_init__", counted_params)
         monkeypatch.setattr(linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(linalg.lapack, "dsytrd", counted_dsytrd)
         trace = gradient_ascent(a0, p1, p2, AscentOptions(max_iters=30, patience=31))
-        assert trace.iterations_run == 30
-        # a0's rank, once; per point, both projected classes' certificates and kept factors
-        assert len(ranks) == 1
-        assert len(factors) == 4 * len(trace.iterates) == 124
+        assert trace.iterations_run >= 5
+        assert counts == {"params": 0, "cholesky": 0, "dsytrd": 1}
+        pair = _ClassPair(p1, p2)
+        start = mean_first_projection(p1, p2, r)
+        counts.update(params=0, cholesky=0, dsytrd=0)
+        refine.refine_fit(pair, start, AscentOptions(max_iters=30, patience=31))
+        # only the refined rows' one re-evaluation: two projected classes, each certified and factored
+        assert counts == {"params": 2, "cholesky": 4, "dsytrd": 0}
 
 
 class TestRandomInitialMatrix:
