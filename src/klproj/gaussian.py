@@ -359,8 +359,8 @@ def estimate_params(data: LabeledDataset, class_id: int, ridge: float = 0.0) -> 
     n-1 divisor (d+1 are needed for a generically nonsingular estimate);
     a degenerate estimate surfaces as NotPositiveDefinite.
     """
-    if ridge < 0.0:
-        raise NonPositiveInput(f"ridge must be >= 0, got {ridge}")
+    if not 0.0 <= ridge < np.inf:  # NaN fails every comparison
+        raise NonPositiveInput(f"ridge must be finite and >= 0, got {ridge}")
     mask = data.labels == class_id
     n_k = int(np.count_nonzero(mask))
     if n_k < 2:

@@ -197,6 +197,7 @@ class WhitenedPencil:
         w, diag, off, self._tau, _ = lapack.dsytrd(w, lower=1, lwork=int(lwork), overwrite_a=1)
         # Q = diag(1, Q'): Q' is the Q of a QR factor whose reflectors sit one row down
         self._reflectors = np.asfortranarray(w[1:, :-1])
+        del w  # gone before stevd makes its n x n eigenvectors and workspace
         # stevd wants a one-entry off-diagonal at n = 1
         tri = _descending(*lapack.dstevd(diag, off if n > 1 else np.zeros(1))[:2])
         self.eigenvalues, self._z = tri.eigenvalues, tri.eigenvectors

@@ -214,7 +214,7 @@ class _ClassPair(linalg.WhitenedPencil):
 
     def regime(self, r: int) -> RegimeReport:
         """The regime rule applied to ``split`` at rank r."""
-        split, r = self.split, int(r)
+        split, r = self.split, _check_r(r, self.eigenvalues.size)
         recommendation, threshold = regime_recommendation(split.d_mu, split.d_sigma, r)
         return RegimeReport(split.d_mu, split.d_sigma, r, threshold, recommendation)
 

@@ -63,8 +63,8 @@ class ChannelSpec:
             raise DimensionMismatch(f"t must be >= 1, got {self.t}")
         if self.d < self.t:
             raise DimensionMismatch(f"need d >= t, got d={self.d} < t={self.t}")
-        if self.noise_var <= 0.0:
-            raise NonPositiveInput(f"noise_var must be > 0, got {self.noise_var}")
+        if not 0.0 < self.noise_var < np.inf:  # NaN fails every comparison
+            raise NonPositiveInput(f"noise_var must be finite and > 0, got {self.noise_var}")
 
 
 def _random_spd(rng: np.random.Generator, dim: int, eig_min: float, eig_max: float) -> np.ndarray:
@@ -138,11 +138,12 @@ def embed_channel(
         raise ChannelRankFailure(
             f"no full-rank {chan.d} x {chan.t} channel in 5 attempts (seed {chan.seed})"
         )
-    noise = chan.noise_var * np.eye(chan.d)
 
     def push(s: GaussianParams) -> GaussianParams:
-        cov = h @ s.covariance @ h.T + noise
-        return GaussianParams(h @ s.mean, (cov + cov.T) / 2.0)
+        cov = h @ s.covariance @ h.T
+        cov.flat[:: chan.d + 1] += chan.noise_var
+        # GaussianParams stores (cov + cov^T) / 2, validated against cov's own asymmetry
+        return GaussianParams(h @ s.mean, cov)
 
     return push(s1), push(s2), h
 

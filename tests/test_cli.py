@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,32 @@ class TestMalformedInput:
         code = run(["gen", "--d", 3, "--seed", 1, "--eig-min", eig_min, "--eig-max", eig_max,
                     "--out-dir", tmp_path / "g"])
         self.assert_input_error(code, capsys, mentions="eig_", error="NonPositiveInput")
+
+    @pytest.mark.parametrize("noise_var", ["nan", "inf"])
+    def test_gen_non_finite_noise_var(self, tmp_path, capsys, noise_var):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["gen", "--d", 4, "--t", 2, "--noise-var", noise_var, "--seed", 1,
+                        "--out-dir", tmp_path / "g"])
+        assert not caught
+        self.assert_input_error(code, capsys, mentions="noise_var", error="NonPositiveInput")
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf"])
+    def test_fit_non_finite_ridge(self, tmp_path, capsys, ridge):
+        out = gen_direct(tmp_path / "g", n=20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["fit", "--dataset", out / "dataset.csv", "--r", 2, "--ridge", ridge,
+                        "--out", tmp_path / "x.json"])
+        assert not caught
+        self.assert_input_error(code, capsys, mentions="ridge", error="NonPositiveInput")
+        assert not (tmp_path / "x.json").exists()
+
+    def test_regime_r_above_d(self, tmp_path, capsys):
+        out = gen_direct(tmp_path / "g", seed=1, d=6)
+        code = run(["regime", "--params", out / "params_class1.json", out / "params_class2.json",
+                    "--r", 7])
+        self.assert_input_error(code, capsys, mentions="r=7")
 
     @pytest.mark.parametrize("classes", [0, 1, -2])
     def test_gen_too_few_classes(self, tmp_path, capsys, classes):

@@ -363,6 +363,12 @@ class TestEstimation:
         with pytest.raises(NonPositiveInput):
             estimate_params(data, 1, ridge=-0.5)
 
+    @pytest.mark.parametrize("ridge", [float("nan"), float("inf")])
+    def test_non_finite_ridge_rejected(self, ridge):
+        data = LabeledDataset(np.zeros((3, 2)), np.array([1, 1, 1]))
+        with pytest.raises(NonPositiveInput, match="ridge"):
+            estimate_params(data, 1, ridge=ridge)
+
     def test_unknown_label_rejected(self):
         # an absent label is a zero-sample class
         data = LabeledDataset(np.zeros((3, 2)), np.array([1, 1, 1]))

@@ -1,6 +1,7 @@
 """Eigen, orthonormalization, and subspace-angle utilities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,20 @@ class TestImplicitEigenbasis:
         np.testing.assert_allclose(u.T @ u, np.eye(30), atol=1e-13)
         residual = np.linalg.norm(w @ u - u * pencil.eigenvalues, axis=0)
         assert np.max(residual) <= 1e-12 * np.linalg.norm(w, 2)
+
+    def test_working_set_is_three_square_arrays(self):
+        # the kept reflectors, Z and stevd's n^2 + 4n + 1 workspace; the sytrd buffer is gone
+        d = 300
+        rng = np.random.default_rng(5)
+        b, c = rand_spd(rng, d, 0.5, 20.0), rand_spd(rng, d)
+        factor = cholesky(c)
+        tracemalloc.start()
+        try:
+            WhitenedPencil(b, c, factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8.0 * d * d) <= 3.5
 
 
 class TestOrthonormalizeRows:

@@ -208,6 +208,14 @@ class TestRegimeRule:
         with pytest.raises(DimensionMismatch):
             regime_recommendation(1.0, 1.0, 0)
 
+    @pytest.mark.parametrize("r", [7, 50])
+    def test_select_regime_refuses_r_above_d_as_fit_auto_does(self, r):
+        p1 = random_class_params(6, 0.5, 3.0, 1.0, 113)
+        p2 = random_class_params(6, 0.5, 3.0, 1.0, 114)
+        for fit in (select_regime, fit_auto):
+            with pytest.raises(DimensionMismatch, match=f"r={r}"):
+                fit(p1, p2, r)
+
 
 class TestFitAuto:
     def test_rule_mode_follows_recommendation(self):

@@ -1,5 +1,7 @@
 """Seeded instance generation: determinism, spectra, channel moments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,8 +96,9 @@ class TestChannel:
             ChannelSpec(t=0, d=5, noise_var=1.0, seed=0)
         with pytest.raises(DimensionMismatch):
             ChannelSpec(t=6, d=5, noise_var=1.0, seed=0)
-        with pytest.raises(NonPositiveInput):
-            ChannelSpec(t=2, d=5, noise_var=0.0, seed=0)
+        for noise_var in (0.0, float("nan"), float("inf")):
+            with pytest.raises(NonPositiveInput, match="noise_var"):
+                ChannelSpec(t=2, d=5, noise_var=noise_var, seed=0)
 
     def test_embedded_moments_match_construction(self):
         s1 = random_class_params(3, 0.5, 2.0, 1.0, 41)
@@ -111,6 +114,29 @@ class TestChannel:
         np.testing.assert_allclose(
             x2.covariance, h @ s2.covariance @ h.T + 0.7 * np.eye(8), atol=1e-12
         )
+
+    def test_covariance_is_the_symmetrized_push(self):
+        s1 = random_class_params(5, 0.5, 2.0, 1.0, 44)
+        s2 = random_class_params(5, 0.5, 2.0, 1.0, 45)
+        x1, x2, h = embed_channel(s1, s2, ChannelSpec(t=5, d=40, noise_var=0.3, seed=46))
+        for s, x in ((s1, x1), (s2, x2)):
+            cov = h @ s.covariance @ h.T + 0.3 * np.eye(40)
+            np.testing.assert_array_equal(x.covariance, (cov + cov.T) / 2.0)
+
+    def test_working_set_is_four_square_arrays(self):
+        # the first class's kept covariance, then the second's push, its symmetrized copy
+        # and the validation scratch
+        d = 300
+        s1 = random_class_params(5, 0.5, 2.0, 1.0, 61)
+        s2 = random_class_params(5, 0.5, 2.0, 1.0, 62)
+        chan = ChannelSpec(t=5, d=d, noise_var=1.0, seed=63)
+        tracemalloc.start()
+        try:
+            embed_channel(s1, s2, chan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8.0 * d * d) <= 4.5
 
     def test_embedding_never_creates_divergence(self):
         # observed-space divergence is bounded by the signal-space divergence
