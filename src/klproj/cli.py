@@ -84,8 +84,8 @@ def cmd_gen(args) -> int:
     if min(args.n, args.n_test) < 0:
         raise NonPositiveInput(f"--n and --n-test must be >= 0, got {args.n} and {args.n_test}")
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     config = _config(args)
+    channel = None  # channel.json's record: the directory is made once every input is valid
 
     if args.t is not None:
         if args.classes != 2:
@@ -99,19 +99,16 @@ def cmd_gen(args) -> int:
         p1, p2, h = embed_channel(sig1, sig2, chan)
         classes = [p1, p2]
         train_seeds, test_seeds = seeds[3:5], seeds[5:7]
-        _write_json(
-            out / "channel.json",
-            {
-                "kind": "channel",
-                "t": args.t,
-                "d": args.d,
-                "noise_var": args.noise_var,
-                "matrix": h.tolist(),
-                "signal_class1": fileio.params_to_dict(sig1),
-                "signal_class2": fileio.params_to_dict(sig2),
-                "config": config,
-            },
-        )
+        channel = {
+            "kind": "channel",
+            "t": args.t,
+            "d": args.d,
+            "noise_var": args.noise_var,
+            "matrix": h.tolist(),
+            "signal_class1": fileio.params_to_dict(sig1),
+            "signal_class2": fileio.params_to_dict(sig2),
+            "config": config,
+        }
     else:
         k = args.classes
         seeds = sub_seeds(args.seed, 3 * k)
@@ -123,6 +120,9 @@ def cmd_gen(args) -> int:
         ]
         train_seeds, test_seeds = seeds[k : 2 * k], seeds[2 * k : 3 * k]
 
+    out.mkdir(parents=True, exist_ok=True)
+    if channel is not None:
+        _write_json(out / "channel.json", channel)
     for i, p in enumerate(classes, start=1):
         _write_json(out / f"params_class{i}.json", fileio.params_to_dict(p, config=config))
 
@@ -229,7 +229,7 @@ def _parse_sweep_range(text: str) -> range:
 
 def cmd_eval(args) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    writes = []  # (writer, arguments): the directory is made once every artifact is computed
     projections = [fileio.projection_from_dict(fileio.read_json(f)) for f in args.projection]
     plist, _ = _load_classes(args)
     if len(plist) != 2:
@@ -242,7 +242,8 @@ def cmd_eval(args) -> int:
         table = sweep_r(p1, p2, methods, _parse_sweep_range(args.sweep_r), refine=args.refine)
         sidecar_cfg = dict(config, full_kld=table.full_kld)
         columns = list(zip(*table.rows)) or [(), (), ()]  # lda alone at r > 1 has no rows
-        _write_csv(out / "sweep.csv", ["method", "r", "kld"], columns, sidecar_cfg)
+        writes.append((_write_csv, (out / "sweep.csv", ["method", "r", "kld"], columns,
+                                    sidecar_cfg)))
 
     if args.classify:
         if not (args.train and args.test):
@@ -266,8 +267,8 @@ def cmd_eval(args) -> int:
                     "accuracy": model.score(test),
                 }
             )
-        _write_json(out / "classification.json",
-                    {"kind": "classification", "results": records, "config": config})
+        record = {"kind": "classification", "results": records, "config": config}
+        writes.append((_write_json, (out / "classification.json", record)))
 
     if args.density_grid:
         planar = [(f, p) for f, p in zip(args.projection, projections) if p.r == 2]
@@ -298,7 +299,8 @@ def cmd_eval(args) -> int:
                 contour_levels=list(grid.contour_levels()),
                 peaks=[grid.peak_class1, grid.peak_class2],
             )
-            _write_csv(out / name, ["x", "y", "class", "density"], columns, sidecar_cfg)
+            writes.append((_write_csv, (out / name, ["x", "y", "class", "density"], columns,
+                                        sidecar_cfg)))
 
     if args.scatter:
         source = args.test or args.train or args.dataset
@@ -312,9 +314,12 @@ def cmd_eval(args) -> int:
             pts = data.samples @ proj.in_original_frame().T
             name = "scatter.csv" if len(planar) == 1 else f"scatter_{index}.csv"
             sidecar_cfg = dict(config, projection_file=Path(fname).name, source=Path(source).name)
-            _write_csv(out / name, ["x", "y", "class"], [pts[:, 0], pts[:, 1], data.labels],
-                       sidecar_cfg)
+            writes.append((_write_csv, (out / name, ["x", "y", "class"],
+                                        [pts[:, 0], pts[:, 1], data.labels], sidecar_cfg)))
 
+    out.mkdir(parents=True, exist_ok=True)
+    for write, arguments in writes:
+        write(*arguments)
     return 0
 
 

@@ -75,20 +75,25 @@ class GaussianParams:
             )
         if not np.all(np.isfinite(cov)):
             raise NonFiniteInput("covariance contains NaN or infinite entries")
-        # the kept array first: the scratch, freed on return, then leaves no hole below it
-        sym = (cov + cov.T) / 2.0  # numpy halves the fresh sum in place (temporary elision)
-        with np.errstate(over="ignore"):  # an overflowed norm is caught below
+        with np.errstate(over="ignore"):  # an overflow is caught below
+            # the kept array first: the scratch, freed on return, then leaves no hole below it
+            sym = (cov + cov.T) / 2.0  # numpy halves the fresh sum in place (temporary elision)
             scratch = cov - cov.T  # the one d x d temporary, reused by the certificate
             asym, size = np.linalg.norm(scratch), np.linalg.norm(cov)
+        certified, name = sym, "covariance"
         if not np.isfinite(size):
             # the squares overflowed: take both norms of a copy scaled to max |C| = 1
-            unit = cov / np.abs(cov).max()
+            scale = np.abs(cov).max()
+            unit = cov / scale
             asym, size = np.linalg.norm(unit - unit.T), np.linalg.norm(unit)
+            if not np.all(np.isfinite(sym)):  # so did the sum: halve first, certify at max |C| = 1,
+                sym = cov / 2.0 + cov.T / 2.0  # where the SPD rule's floor is still relative
+                certified, name = sym / scale, "covariance / max |covariance|"
         if asym > linalg.SYM_RTOL * max(size, 1e-300):
             raise NotPositiveDefinite(
                 f"covariance is not symmetric (relative asymmetry {asym / size:.3e})"
             )
-        linalg.certify_spd(sym, "covariance", scratch)
+        linalg.certify_spd(certified, name, scratch)
         object.__setattr__(self, "mean", mean.copy())
         object.__setattr__(self, "covariance", sym)
 
@@ -373,7 +378,8 @@ def estimate_params(data: LabeledDataset, class_id: int, ridge: float = 0.0) -> 
     centered = x - mean
     cov = centered.T @ centered / (n_k - 1)
     if ridge > 0.0:
-        cov = cov + ridge * (np.trace(cov) / data.dim) * np.eye(data.dim)
+        # Python floats: a load past the float range is inf, without a warning, and refused below
+        cov.flat[:: data.dim + 1] += ridge * (float(np.trace(cov)) / data.dim)
     return GaussianParams(mean, cov)
 
 

@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     EqualMeans,
     IdenticalDistributions,
-    NumericalError,
     RankDeficientMeans,
     UnequalMeans,
 )
@@ -63,7 +62,7 @@ EQUAL_MEANS_CHECK_RTOL = 1e-10
 _CLUSTER_RTOL = 1e-10
 
 # alg2 replaces alg1 only by retaining more than (1 + _TIE_RTOL) times its value:
-# a tie reached by two computations (a score sum, a re-evaluation) differs in the last bits.
+# a tie reached by two different component sums differs in the last bits.
 _TIE_RTOL = 1e-12
 
 FRAME_ORIGINAL = "original"
@@ -143,24 +142,20 @@ def _ranked(scores: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.lexsort((idx, -np.abs(lam - 1.0), -scores))
 
 
-def _greedy_fill(rows: list[np.ndarray], candidates, r: int) -> tuple[list[np.ndarray], list[float]]:
-    """Append (vector, score) candidates in order, keeping the stack full rank, up to r rows.
+def _axes_beside(c: np.ndarray, order: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(axes, w): the first k axes in ``order`` beside a row with coordinates c
+    in an orthonormal basis, and c's unit residual w off them.
 
-    ``candidates`` is read lazily and no further than the r-th row.  Rank
-    is relative, so the given rows are normalized first (candidates come
-    at unit length): no scale of theirs hides a row or every candidate.
+    The row and axes a_1..a_j lose rank only when c lies in their span, when
+    the tail sum of c^2 past a_j falls to (RANK_RTOL |c|)^2: that a_j is
+    skipped, and no later one, as c has a share on a_j.
     """
-    rows = [v / np.linalg.norm(v) for v in rows]
-    picked_scores: list[float] = []
-    remaining = iter(candidates)
-    while len(rows) < r:
-        vec, score = next(remaining, (None, 0.0))
-        if vec is None:
-            raise NumericalError(f"could not assemble {r} independent projection rows")
-        if linalg.numerical_rank(np.vstack(rows + [vec])) == len(rows) + 1:
-            rows.append(vec)
-            picked_scores.append(float(score))
-    return rows, picked_scores
+    u = c / np.linalg.norm(c)
+    tail = np.append(np.cumsum(u[order[:0:-1]] ** 2)[::-1], 0.0)  # sum of u^2 past order[j]
+    j = int(np.argmax(tail <= linalg.RANK_RTOL**2))
+    axes = np.delete(order[:k + 1], j) if j < k else order[:k]
+    u[axes] = 0.0
+    return axes, u / np.linalg.norm(u)
 
 
 class _ClassPair(linalg.WhitenedPencil):
@@ -256,48 +251,37 @@ def mean_first_projection(p1: GaussianParams, p2: GaussianParams, r: int) -> Pro
     """Discriminant direction first, then top covariance-contrast directions.
 
     Row 1 is S2^-1 (m2 - m1); rows 2..r are generalized eigenvectors of the
-    pencil (S2, S1) ranked by g_score of their eigenvalue.  The stack is QR
-    orthonormalized; a candidate that is numerically dependent on the rows
-    already chosen is skipped in favor of the next-ranked one.  When the
-    means coincide the discriminant row is dropped (with a warning) and all
-    r rows come from the pencil, read off a _ClassPair factored for this
-    call (fit_auto and sweep_r share theirs).  Reported under the tag "alg1".
+    pencil (S2, S1) ranked by g_score, QR orthonormalized.  In the pair's
+    eigenframe x -> U^T L^-1 (x - m1), where the classes are N(0, I) and
+    N(m, diag(lambda)), they are axes and row 1 is m / lambda; an axis that
+    would make the stack dependent is skipped (``_axes_beside``).  The
+    retained divergence is the kept axes' component sum plus
+    component_kld(w . m, w^T diag(lambda) w), w the unit residual of
+    m / lambda off them.  Equal means drop row 1 (with a warning).  The pair
+    is factored for this call (fit_auto and sweep_r share theirs).  Reported
+    under the tag "alg1".
     """
     return _mean_first(_ClassPair(p1, p2), r)
 
 
 def _mean_first(pair: _ClassPair, r: int) -> ProjectionResult:
     r = _check_r(r, pair.p1.dim)
-    lam = pair.eigenvalues
+    lam, m = pair.eigenvalues, pair.eig_mean
     scores = g_score(lam)
-    # S2^-1 (m2 - m1) = L^-T U diag(1 / lambda) U^T L^-1 (m2 - m1)
-    matrix, picked, warnings = _mean_row_fill(
-        pair.p1, pair.p2, pair.unwhiten(pair.combine(pair.eig_mean / lam)),
-        _pencil_candidates(pair, _ranked(scores, lam), scores, r), r,
-        "class means coincide; the discriminant row is undefined and was "
-        "replaced by the next covariance-contrast direction",
-    )
+    order, rows, rest, warnings = _ranked(scores, lam), [], 0.0, ()
+    if _means_equal(pair.p1, pair.p2):
+        axes, warnings = order[:r], ("class means coincide; the discriminant row is undefined and "
+                                     "was replaced by the next covariance-contrast direction",)
+    else:
+        axes, w = _axes_beside(m / lam, order, r - 1)
+        # S2^-1 (m2 - m1) = L^-T U diag(1 / lambda) U^T L^-1 (m2 - m1)
+        first = pair.unwhiten(pair.combine(m / lam))
+        rows, rest = [first / np.linalg.norm(first)], component_kld(w @ m, w**2 @ lam)
+    matrix = linalg.orthonormalize_rows(np.vstack(rows + [pair.pencil_vectors(axes).T]))
     return ProjectionResult(matrix=matrix, frame=FRAME_ORIGINAL, method="alg1",
-                            achieved_kld=kld_projected(matrix, pair.p1, pair.p2),
-                            component_scores=tuple(picked), warnings=warnings)
-
-
-def _mean_row_fill(p1: GaussianParams, p2: GaussianParams, first_row: np.ndarray, candidates,
-                   r: int, warning: str) -> tuple[np.ndarray, list[float], tuple]:
-    """(rows, fill scores, warnings) of alg1 and lol: ``first_row`` unless the means
-    coincide (then ``warning``), filled from ``candidates`` to r, orthonormalized."""
-    equal = _means_equal(p1, p2)
-    rows, picked = _greedy_fill([] if equal else [first_row], candidates, r)
-    return linalg.orthonormalize_rows(np.vstack(rows)), picked, (warning,) if equal else ()
-
-
-def _pencil_candidates(pair: _ClassPair, order: np.ndarray, scores: np.ndarray, r: int):
-    """(unit pencil vector, score) in ``order``, formed in blocks of r, 2r, 4r, ... as read."""
-    start, size = 0, r
-    while start < order.size:
-        block = order[start:start + size]
-        yield from zip(pair.pencil_vectors(block).T, scores[block])
-        start, size = start + size, 2 * size
+                            achieved_kld=float(np.sum(component_kld(m[axes], lam[axes]))) + rest,
+                            component_scores=tuple(float(v) for v in scores[axes]),
+                            warnings=warnings)
 
 
 def whitened_component_projection(p1: GaussianParams, p2: GaussianParams, r: int) -> ProjectionResult:
@@ -450,10 +434,12 @@ def lol_projection(
 
     The classical low-rank baseline: row 1 is m2 - m1 and rows 2..r are the
     leading eigenvectors of the pooled covariance (the average of the class
-    covariances unless one is supplied), orthonormalized.  Principal
-    directions do not target discrimination, so this often retains far less
-    divergence than the divergence-aware constructions.  Equal means drop
-    the first row with a warning.
+    covariances unless one is supplied), orthonormalized: the axes of the
+    pooled eigenbasis V beside row 1's coordinates V^T (m2 - m1)
+    (``_axes_beside``), evaluated by kld_projected.  Principal directions do
+    not target discrimination, so this often retains far less divergence
+    than the divergence-aware constructions.  Equal means drop the first row
+    with a warning.
     """
     _check_same_dim(p1, p2)
     pooled = (p1.covariance + p2.covariance) / 2.0 if pooled_cov is None else pooled_cov
@@ -462,17 +448,16 @@ def lol_projection(
 
 def _lol(p1: GaussianParams, p2: GaussianParams, r: int, eig: linalg.SymEigen) -> ProjectionResult:
     r = _check_r(r, p1.dim)
-    matrix, _, warnings = _mean_row_fill(
-        p1, p2, p2.mean - p1.mean, zip(eig.eigenvectors.T, eig.eigenvalues), r,
-        "class means coincide; using principal directions of the pooled covariance only",
-    )
-    return ProjectionResult(
-        matrix=matrix,
-        frame=FRAME_ORIGINAL,
-        method="lol",
-        achieved_kld=kld_projected(matrix, p1, p2),
-        warnings=warnings,
-    )
+    delta, order, rows, warnings = p2.mean - p1.mean, np.arange(p1.dim), [], ()
+    if _means_equal(p1, p2):
+        axes, warnings = order[:r], ("class means coincide; using principal directions of the "
+                                     "pooled covariance only",)
+    else:
+        axes, _ = _axes_beside(eig.eigenvectors.T @ delta, order, r - 1)
+        rows = [delta / np.linalg.norm(delta)]
+    matrix = linalg.orthonormalize_rows(np.vstack(rows + [eig.eigenvectors[:, axes].T]))
+    return ProjectionResult(matrix=matrix, frame=FRAME_ORIGINAL, method="lol",
+                            achieved_kld=kld_projected(matrix, p1, p2), warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

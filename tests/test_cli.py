@@ -358,6 +358,18 @@ class TestMalformedInput:
         code = run(["eval", "--projection", proj, "--params", *param_files, "--density-grid",
                     "--resolution", MAX_RESOLUTION + 1, "--out-dir", tmp_path / "ev"])
         self.assert_input_error(code, capsys, mentions=str(MAX_RESOLUTION))
+        assert not (tmp_path / "ev").exists()
+
+    def test_eval_refused_after_a_finished_sweep_writes_nothing(self, tmp_path, param_files,
+                                                                 capsys):
+        proj = tmp_path / "proj.json"
+        assert run(["fit", "--params", *param_files, "--r", 2, "--out", proj]) == 0
+        code = run(["eval", "--projection", proj, "--params", *param_files, "--sweep-r", "1..2",
+                    "--classify", "--out-dir", tmp_path / "ev"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidArguments" and "--train" in err["message"]
+        assert not (tmp_path / "ev").exists()
 
     @pytest.mark.parametrize("max_iters", [0, -5])
     def test_refine_without_iterations(self, tmp_path, param_files, capsys, max_iters):
@@ -375,6 +387,7 @@ class TestMalformedInput:
         code = run(["gen", "--d", 3, "--seed", 1, "--eig-min", eig_min, "--eig-max", eig_max,
                     "--out-dir", tmp_path / "g"])
         self.assert_input_error(code, capsys, mentions="eig_", error="NonPositiveInput")
+        assert not (tmp_path / "g").exists()
 
     @pytest.mark.parametrize("noise_var", ["nan", "inf"])
     def test_gen_non_finite_noise_var(self, tmp_path, capsys, noise_var):
@@ -384,6 +397,22 @@ class TestMalformedInput:
                         "--out-dir", tmp_path / "g"])
         assert not caught
         self.assert_input_error(code, capsys, mentions="noise_var", error="NonPositiveInput")
+        assert not (tmp_path / "g").exists()
+
+    def test_values_near_the_float_limit_warn_nothing(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["gen", "--d", 4, "--t", 2, "--noise-var", 1e308, "--seed", 1,
+                        "--out-dir", tmp_path / "g"]) == 0
+            out = gen_direct(tmp_path / "d", n=20)
+            code = run(["fit", "--dataset", out / "dataset.csv", "--r", 2, "--ridge", 1e308,
+                        "--out", tmp_path / "x.json"])
+        assert not caught
+        self.assert_input_error(code, capsys, error="NonFiniteInput")
+        for name in ("channel.json", "params_class1.json", "params_class2.json"):
+            assert "Infinity" not in (tmp_path / "g" / name).read_text()
+        cov = np.array(read_json(tmp_path / "g" / "params_class1.json")["covariance"])
+        assert np.all(np.isfinite(cov)) and np.all(np.diag(cov) >= 1e308)
 
     @pytest.mark.parametrize("ridge", ["nan", "inf"])
     def test_fit_non_finite_ridge(self, tmp_path, capsys, ridge):

@@ -133,6 +133,20 @@ class TestSweepR:
                 with pytest.raises(NumericalError, match=f"\\({method}, r=20\\) retains"):
                     _validate_sweep(bumped, table.full_kld)
 
+    def test_ill_conditioned_pairs_pass_the_gate(self):
+        # cond(S1) up to ~3e9: alg1's rows sum their components in the pair's
+        # eigenframe, so no row exceeds the full divergence by cond(S1) * eps
+        for s in range(60):
+            rng = np.random.default_rng(1000 + s)
+            s1 = random_spd(SpdSpec(20, 1.0, 10 ** rng.uniform(6, 9.5), 2 * s + 1))
+            s2 = random_spd(SpdSpec(20, 0.5, 4.0, 2 * s + 2))
+            p1 = GaussianParams(rng.standard_normal(20), s1)
+            p2 = GaussianParams(rng.standard_normal(20), s2)
+            table = sweep_r(p1, p2, ["alg1", "alg2"], range(1, 21))
+            for method, r, value in table.rows:
+                if r == 20:
+                    assert value == pytest.approx(table.full_kld, rel=1e-12), (s, method)
+
 
 class TestPairwisePreservation:
     def test_diagonal_is_one(self):

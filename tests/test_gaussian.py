@@ -61,6 +61,16 @@ class TestGaussianParams:
             assert spd_outcome(lambda: GaussianParams(np.zeros(2), huge)) == spd_outcome(
                 lambda: assert_spd(huge, "covariance"))
 
+    def test_entries_near_the_float_limit_are_stored_finite(self):
+        cov = np.array([[1e308, 4e307 * (1 + 1e-15)], [4e307, 6e307]])
+        with np.errstate(all="raise", under="ignore"):  # numpy's defaults, as errors
+            p = GaussianParams(np.zeros(2), cov)
+            np.testing.assert_array_equal(p.covariance, cov / 2.0 + cov.T / 2.0)
+            assert p.covariance[0, 1] == p.covariance[1, 0]
+            # condition 1e308: far below the relative floor of the SPD rule
+            with pytest.raises(NotPositiveDefinite, match="smallest eigenvalue 1.0+e-308"):
+                GaussianParams(np.zeros(2), np.diag([1e308, 1.0]))
+
     def test_symmetrizes_roundoff_asymmetry(self):
         cov = np.array([[2.0, 0.3], [0.3 + 1e-13, 1.0]])
         p = GaussianParams(np.zeros(2), cov)

@@ -252,8 +252,8 @@ class TestFitAuto:
         lambda: scaled_copy_pair(1 + 1e-4), lambda: scaled_copy_pair(1 + 1e-7),
     ], ids=["proportional", "c=2", "c=1+1e-4", "c=1+1e-7"])
     def test_tie_by_different_computations_goes_to_mean_first(self, pair):
-        # S2 = c S1: at r=1 both constructions reach the optimum, alg2 as a score
-        # sum and alg1 as a re-evaluation, a few ulps apart either way
+        # S2 = c S1: at r=1 both constructions reach the optimum as two different
+        # component sums, a few ulps apart either way
         p1, p2 = pair()
         alg1, alg2 = (fit(p1, p2, 1).achieved_kld
                       for fit in (mean_first_projection, whitened_component_projection))
@@ -628,7 +628,7 @@ class TestScaleRobustFill:
 
 
 class TestPencilCandidates:
-    """alg1 unwhitens only the pencil vectors its fill reaches, and picks what a fill over all picks."""
+    """alg1 and lol skip the one axis that makes the mean row dependent; alg1 forms only its rows."""
 
     def test_dependent_top_candidate_is_skipped_as_in_a_full_fill(self):
         # x -> A x of S1 = I, S2 = diag(lam), offset 3 e1: the pencil vectors are
@@ -642,19 +642,22 @@ class TestPencilCandidates:
         scores = g_score(pair.eigenvalues)
         order = projections._ranked(scores, pair.eigenvalues)
         first = np.linalg.solve(p2.covariance, p2.mean - p1.mean)
-        full = zip(pair.pencil.eigenvectors[:, order].T, scores[order])
-        rows, picked = projections._greedy_fill([first / np.linalg.norm(first)], full, 4)
+        top = pair.pencil.eigenvectors[:, order[0]]
+        assert linalg.numerical_rank(np.vstack([first / np.linalg.norm(first), top])) == 1
+        stack = np.vstack([first, pair.pencil.eigenvectors[:, order[1:4]].T])
         res = mean_first_projection(p1, p2, 4)
-        assert res.component_scores == tuple(picked) == tuple(scores[order[1:4]])
-        assert np.max(principal_angles(res.matrix, np.vstack(rows))) < 1e-10
+        assert res.component_scores == tuple(scores[order[1:4]])
+        assert np.max(principal_angles(res.matrix, stack)) < 1e-10
+        assert res.achieved_kld == pytest.approx(kld_projected(stack, p1, p2), rel=1e-12)
 
-    def test_blocks_cover_every_pencil_vector_in_order(self):
-        pair = _ClassPair(*channel_pair())
-        scores = g_score(pair.eigenvalues)
-        order = projections._ranked(scores, pair.eigenvalues)
-        vecs, got = zip(*projections._pencil_candidates(pair, order, scores, 1))
-        assert list(got) == list(scores[order])
-        np.testing.assert_allclose(np.array(vecs).T, pair.pencil.eigenvectors[:, order], atol=1e-12)
+    def test_lol_skips_the_eigenvector_along_the_mean_difference(self):
+        q = np.linalg.qr(np.random.default_rng(343).standard_normal((6, 6)))[0]
+        cov = q @ np.diag([5.0, 4.0, 3.0, 2.0, 1.5, 1.0]) @ q.T
+        p1, p2 = GaussianParams(np.zeros(6), cov), GaussianParams(2.0 * q[:, 0], cov)
+        res = lol_projection(p1, p2, 3)
+        # m2 - m1 stands in for the top pooled eigenvector q1; q2 and q3 fill the rest
+        np.testing.assert_allclose(np.abs(res.matrix @ q[:, :4]), np.eye(3, 4), atol=1e-12)
+        assert res.achieved_kld == pytest.approx(kld_projected(q[:, :3].T, p1, p2), rel=1e-12)
 
     def test_unwhitens_only_the_columns_read(self, monkeypatch):
         p1, p2 = channel_pair()
@@ -665,9 +668,11 @@ class TestPencilCandidates:
             return unwhiten(self, u)
 
         monkeypatch.setattr(projections.linalg.WhitenedPencil, "unwhiten", recorded)
-        mean_first_projection(p1, p2, 2)
-        # the first row, then one block of r = 2 candidates
-        assert widths == [1, 2]
+        for r in (1, 2, 4):
+            widths.clear()
+            mean_first_projection(p1, p2, r)
+            # the mean row, then the r - 1 pencil vectors kept
+            assert widths == [1, r - 1]
 
 
 def scaled_copy_pair(c, d=20):
