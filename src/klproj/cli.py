@@ -132,9 +132,10 @@ def cmd_gen(args) -> int:
     ):
         if count <= 0:
             continue
-        blocks = [sample(p, count, s) for p, s in zip(classes, per_class_seeds)]
         labels = np.repeat(np.arange(1, len(classes) + 1), count)
-        data = LabeledDataset(np.vstack(blocks), labels)
+        # unnamed, the blocks go once stacked and the stack once the dataset has copied it
+        data = LabeledDataset(
+            np.vstack([sample(p, count, s) for p, s in zip(classes, per_class_seeds)]), labels)
         fileio.dataset_to_csv(out / name, data)
         print(f"wrote {out / name}")
         _write_json((out / name).with_suffix(".config.json"), {"kind": "config", "config": config})

@@ -305,19 +305,13 @@ def chernoff_information(p1: GaussianParams, p2: GaussianParams) -> float:
 
 
 def g_score(lam):
-    """Divergence contribution 0.5 (ln L - 1 + 1/L) of a variance ratio L.
+    """Divergence contribution 0.5 (ln L - 1 + 1/L) of a variance ratio L: component_kld at m = 0.
 
     Zero exactly at L = 1, positive elsewhere, and asymmetric: shrinking
     directions score higher than growing ones at the same ratio of ratios
     (g(1/2) > g(2)).  Accepts scalars or arrays; L must be positive.
     """
-    arr = np.asarray(lam, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteInput("variance ratio contains NaN or infinite entries")
-    if np.any(arr <= 0.0):
-        raise NonPositiveInput("variance ratio must be strictly positive")
-    out = 0.5 * (np.log(arr) - 1.0 + 1.0 / arr)
-    return float(out) if np.isscalar(lam) or arr.ndim == 0 else out
+    return component_kld(0.0, lam)
 
 
 def component_kld(m, lam):
@@ -325,7 +319,7 @@ def component_kld(m, lam):
 
     This is D(N(0,1) || N(m, L)): the divergence carried by a single
     whitened direction with projected mean offset ``m`` and variance ratio
-    ``L``.  Reduces to g_score(L) at m = 0.  Accepts scalars or arrays.
+    ``L``.  g_score(L) is its value at m = 0.  Accepts scalars or arrays.
     """
     m_arr = np.asarray(m, dtype=float)
     lam_arr = np.asarray(lam, dtype=float)
@@ -360,9 +354,10 @@ def estimate_params(data: LabeledDataset, class_id: int, ridge: float = 0.0) -> 
     """Sample mean and unbiased covariance of one class.
 
     With ridge > 0 the covariance is inflated to S + ridge * (tr S / d) * I
-    before validation.  At least two samples are required to form the
-    n-1 divisor (d+1 are needed for a generically nonsingular estimate);
-    a degenerate estimate surfaces as NotPositiveDefinite.
+    before validation; a load that overflows is refused, naming the ridge.
+    At least two samples are required to form the n-1 divisor (d+1 are
+    needed for a generically nonsingular estimate); a degenerate estimate
+    surfaces as NotPositiveDefinite.
     """
     if not 0.0 <= ridge < np.inf:  # NaN fails every comparison
         raise NonPositiveInput(f"ridge must be finite and >= 0, got {ridge}")
@@ -374,12 +369,15 @@ def estimate_params(data: LabeledDataset, class_id: int, ridge: float = 0.0) -> 
             f"(and d+1 = {data.dim + 1} for a nonsingular covariance)"
         )
     x = data.samples[mask]
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / (n_k - 1)
-    if ridge > 0.0:
-        # Python floats: a load past the float range is inf, without a warning, and refused below
-        cov.flat[:: data.dim + 1] += ridge * (float(np.trace(cov)) / data.dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # GaussianParams refuses what overflows
+        mean = x.mean(axis=0)
+        centered = x - mean
+        cov = centered.T @ centered / (n_k - 1)
+        if ridge > 0.0:
+            trace = float(np.trace(cov))  # if finite, so is the diagonal until the load
+            cov.flat[:: data.dim + 1] += ridge * (trace / data.dim)
+            if np.isfinite(trace) and not np.all(np.isfinite(np.diag(cov))):
+                raise NonFiniteInput(f"ridge {ridge:g} overflows the covariance load ridge * tr(S) / d")
     return GaussianParams(mean, cov)
 
 

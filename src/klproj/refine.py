@@ -14,7 +14,7 @@ data's linear frame.  From a closed form, ascent certifies it or improves it.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import solve_triangular
 
 from .errors import NonPositiveInput
 from .gaussian import GaussianParams, _check_projection, _check_same_dim, kld_projected
@@ -65,36 +65,18 @@ class AscentTrace:
 
 
 def kld_gradient(a, p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
-    """Gradient of kld_projected with respect to the projection matrix.
+    """Gradient of kld_projected in the projection matrix: the ascent's gradient, carried back.
 
-    With M_k = A S_k A^T, delta = m2 - m1, and w = M2^-1 A delta:
-
-        grad = M2^-1 A S2 - M1^-1 A S1 + M2^-1 A S1
-               - M2^-1 M1 M2^-1 A S2 + w delta^T - w w^T A S2.
-
-    The derivation mirrors the three terms of the divergence (log-determinant
-    ratio, trace, Mahalanobis); central finite differences reproduce it to
-    first order and serve as the ground truth in the test suite.  The M_k^-1
-    solves read the factors of the validated projected classes.
+    U^T L^T A^T = Q R gives A L U = R^T W, W = Q^T orthonormal rows of the pair frame.
+    _frame_point's f is invariant under W -> G W (G invertible), so its Riemannian
+    gradient g is the full gradient at W, and grad = R^-1 g (L U)^T.  Defined for every
+    full-row-rank A (it vanishes at r = d); one pair factorization, O(d^3), per call.
     """
     a = _check_projection(a, _check_same_dim(p1, p2))
-    as1 = a @ p1.covariance
-    as2 = a @ p2.covariance
-    m1 = as1 @ a.T
-    m2 = as2 @ a.T
-    c1 = (GaussianParams(a @ p1.mean, (m1 + m1.T) / 2.0).factor, True)
-    c2 = (GaussianParams(a @ p2.mean, (m2 + m2.T) / 2.0).factor, True)
-    delta = p2.mean - p1.mean
-    w = cho_solve(c2, a @ delta)
-    x2 = cho_solve(c2, as2)
-    return (
-        x2
-        - cho_solve(c1, as1)
-        + cho_solve(c2, as1)
-        - cho_solve(c2, m1 @ x2)  # m1 unsymmetrized: symmetrizing moves the last bits
-        + np.outer(w, delta)
-        - np.outer(w, as2.T @ w)
-    )
+    pair = _ClassPair(p1, p2)
+    q, r = np.linalg.qr(pair.coords(pair.factor.T @ a.T))
+    g = _frame_point(q.T, pair.eigenvalues, pair.eig_mean)[1]
+    return solve_triangular(r, (pair.factor @ pair.combine(g.T)).T, check_finite=False)
 
 
 def _frame_point(w: np.ndarray, lam: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

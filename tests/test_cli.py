@@ -425,6 +425,36 @@ class TestMalformedInput:
         self.assert_input_error(code, capsys, mentions="ridge", error="NonPositiveInput")
         assert not (tmp_path / "x.json").exists()
 
+    def test_fit_ridge_overflow_names_the_ridge(self, tmp_path, capsys):
+        out = gen_direct(tmp_path / "g", n=20)
+        code = run(["fit", "--dataset", out / "dataset.csv", "--r", 2, "--ridge", 1e308,
+                    "--out", tmp_path / "x.json"])
+        self.assert_input_error(code, capsys, mentions="ridge 1e+308", error="NonFiniteInput")
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("cells", [1, 3], ids=["one-cell", "three-cells"])
+    @pytest.mark.parametrize("command", ["fit", "classify"])
+    def test_dataset_cells_near_the_float_limit_warn_nothing(self, tmp_path, capsys, command,
+                                                             cells):
+        out = gen_direct(tmp_path / "g", n=20)
+        rows = (out / "dataset.csv").read_text().splitlines()
+        for i in range(1, cells + 1):  # three in one column overflow the class mean too
+            rows[i] = "1e308," + rows[i].split(",", 1)[1]
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(rows) + "\n")
+        params = [out / "params_class1.json", out / "params_class2.json"]
+        proj = tmp_path / "proj.json"
+        assert run(["fit", "--params", *params, "--r", 2, "--out", proj]) == 0
+        capsys.readouterr()
+        argv = {"fit": ["fit", "--dataset", big, "--r", 2, "--out", tmp_path / "x.json"],
+                "classify": ["eval", "--projection", proj, "--params", *params, "--classify",
+                             "--train", big, "--test", out / "dataset.csv",
+                             "--out-dir", tmp_path / "ev"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        self.assert_input_error(code, capsys, mentions="infinite", error="NonFiniteInput")
+
     def test_regime_r_above_d(self, tmp_path, capsys):
         out = gen_direct(tmp_path / "g", seed=1, d=6)
         code = run(["regime", "--params", out / "params_class1.json", out / "params_class2.json",

@@ -243,6 +243,34 @@ class TestPairFrame:
             assert np.sum(g * step) >= -1e-15 * max(1.0, f)
 
 
+class TestGradientCarriedBack:
+    """kld_gradient is _frame_point's gradient carried to the original frame."""
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 8])
+    def test_vanishes_at_full_rank(self, k):
+        # at r = d every row space is the whole space: nothing to gain, for any cond(A) = 10^k
+        for s in range(10):
+            rng = np.random.default_rng(s)
+            q1, q2 = (np.linalg.qr(rng.standard_normal((20, 20)))[0] for _ in range(2))
+            a = (q1 * np.logspace(0, k, 20)) @ q2.T
+            p1 = random_class_params(20, 0.2, 5.0, 1.0, 100 + s)
+            p2 = random_class_params(20, 0.2, 5.0, 1.0, 200 + s)
+            g = kld_gradient(a, p1, p2)
+            assert np.max(np.abs(g)) <= 1e-12 * max(1.0, kld(p1, p2))
+
+    def test_vanishes_where_the_ascent_converges(self):
+        for s in range(6):
+            d, r = 8 + 3 * s, (1, 2, 3, 5)[s % 4]
+            p1 = random_class_params(d, 0.2, 5.0, 1.0, 300 + s)
+            p2 = random_class_params(d, 0.2, 5.0, 1.0, 400 + s)
+            a0 = random_initial_matrix(r, d, 500 + s)
+            trace = gradient_ascent(a0, p1, p2)
+            assert trace.converged
+            f = trace.iterates[-1][1]
+            assert np.max(np.abs(kld_gradient(a0, p1, p2))) > 1.0
+            assert np.max(np.abs(kld_gradient(trace.final_matrix, p1, p2))) <= 1e-5 * max(1.0, f)
+
+
 class TestRefineFit:
     def test_tags_the_original_frame_rows_and_keeps_warnings(self):
         p1 = random_class_params(6, 0.3, 5.0, 1.0, 451)
