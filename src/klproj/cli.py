@@ -40,10 +40,11 @@ from .projections import (
     ProjectionResult,
     _auto,
     _ClassPair,
+    _lol,
     _mean_first,
+    _pooled_eig,
     _whitened_component,
     lda_direction,
-    lol_projection,
     multiclass_lda,
     select_regime,
 )
@@ -169,8 +170,7 @@ def _fit_two_class(args, pair: _ClassPair, data: LabeledDataset | None) -> Proje
     if args.method == "alg2":
         return _whitened_component(pair, r)
     if args.method == "lol":
-        pooled = None if data is None else pooled_covariance(data)
-        return lol_projection(pair.p1, pair.p2, r, pooled_cov=pooled)
+        return _lol(pair, r, _pooled_eig(pair, None if data is None else pooled_covariance(data)))
     if args.method == "lda":
         if r != 1:
             raise ValueError("lda produces a single direction; use --r 1")

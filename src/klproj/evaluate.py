@@ -21,8 +21,7 @@ from .gaussian import (
     log_density,
     project_params,
 )
-from .linalg import sym_eig
-from .projections import _ClassPair, _lol, _mean_first, _whitened_component, lda_direction
+from .projections import _ClassPair, _lol, _mean_first, _pooled_eig, _whitened_component, lda_direction
 from .refine import AscentOptions, refine_fit
 
 # Divergences below this are treated as zero when forming preservation
@@ -102,10 +101,10 @@ def sweep_r(
     single direction and is only emitted at r = 1.  With refine=True each
     closed-form result is refined by ``refine_fit``, and its retained
     divergence (never below the start's) is added under the tag
-    "<method>_refined".  The class pair is factored once and serves every r
-    and every refinement, as lol's pooled eigendecomposition serves every r;
-    when alg1 or alg2 is swept or refine is set, full_kld is the pair's split
-    total as well.  The table is validated before it is returned.
+    "<method>_refined".  The class pair is factored once, whatever the
+    methods: it serves every r, every refinement, lol's values and full_kld,
+    its split total; lol's pooled eigendecomposition serves every r too.  The
+    table is validated before it is returned.
     """
     methods = sorted(set(methods))
     for m in methods:
@@ -115,13 +114,13 @@ def sweep_r(
     if not r_values or not methods:
         raise ValueError("need at least one method and one r value")
 
-    pair = _ClassPair(p1, p2) if refine or {"alg1", "alg2"} & set(methods) else None
-    full = kld(p1, p2) if pair is None else pair.split.total
-    pooled = sym_eig((p1.covariance + p2.covariance) / 2.0) if "lol" in methods else None
+    pair = _ClassPair(p1, p2)
+    full = pair.split.total
+    pooled = _pooled_eig(pair) if "lol" in methods else None
     fitters = {
         "alg1": lambda r: _mean_first(pair, r),
         "alg2": lambda r: _whitened_component(pair, r),
-        "lol": lambda r: _lol(p1, p2, r, pooled),
+        "lol": lambda r: _lol(pair, r, pooled),
         "lda": lambda r: lda_direction(p1, p2),
     }
     rows = []
@@ -180,7 +179,8 @@ class PluginClassifier:
                 f"samples have dimension {x.shape[1]}, classifier expects "
                 f"{self.projection.shape[1]}"
             )
-        z = x @ self.projection.T
+        with np.errstate(over="ignore", invalid="ignore"):  # log_density refuses what overflows
+            z = x @ self.projection.T
         scores = np.column_stack(
             [log_density(p, z) + np.log(prior) for p, prior in zip(self.class_params, self.priors)]
         )

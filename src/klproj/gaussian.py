@@ -338,14 +338,17 @@ def component_kld(m, lam):
 
 
 def log_density(p: GaussianParams, x) -> np.ndarray | float:
-    """Log density of N(mean, covariance) at one point or rows of points."""
+    """Log density of N(mean, covariance) at one point or rows of points; NonFiniteInput on overflow."""
     pts = linalg._as_array(x, "points")
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.shape[1] != p.dim:
         raise DimensionMismatch(f"points have dimension {pts.shape[1]}, class has {p.dim}")
-    y = solve_triangular(p.factor, (pts - p.mean).T, lower=True, check_finite=False)
-    quad = np.sum(y * y, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
+        y = solve_triangular(p.factor, (pts - p.mean).T, lower=True, check_finite=False)
+        quad = np.sum(y * y, axis=0)
+    if not np.all(np.isfinite(quad)):
+        raise NonFiniteInput("squared distance of a point to the class mean overflows")
     out = -0.5 * (p.dim * _LOG_2PI + _chol_logdet(p.factor) + quad)
     return float(out[0]) if single else out
 

@@ -13,7 +13,6 @@ are formed only when read.  Inputs are validated; factors are trusted.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -183,8 +182,7 @@ class WhitenedPencil:
     descending.  Q is kept as its Householder reflectors, so U is never
     formed whole: ``columns``, ``coords`` and ``combine`` apply Q (ormqr) to
     only what they read.  The unit generalized eigenvectors, the normalized
-    columns of L^-T U (``pencil_vectors``), are formed on demand; ``pencil``
-    holds all of them, for readers of every column.
+    columns of L^-T U (``pencil_vectors``), are formed on demand.
     """
 
     def __init__(self, b, c, factor: np.ndarray | None = None):
@@ -233,10 +231,6 @@ class WhitenedPencil:
         vecs = self.unwhiten(self.columns(idx))
         return vecs / np.linalg.norm(vecs, axis=0)
 
-    @cached_property
-    def pencil(self) -> SymEigen:
-        return SymEigen(eigenvalues=self.eigenvalues, eigenvectors=self.pencil_vectors(slice(None)))
-
 
 def generalized_eig(b, c) -> SymEigen:
     """Generalized eigendecomposition of the SPD pencil (B, C).
@@ -253,7 +247,8 @@ def generalized_eig(b, c) -> SymEigen:
     b, c = _symmetrized(b), _symmetrized(c)
     certify_spd(b, "B")
     certify_spd(c, "C")
-    return WhitenedPencil(b, c).pencil
+    pencil = WhitenedPencil(b, c)
+    return SymEigen(eigenvalues=pencil.eigenvalues, eigenvectors=pencil.pencil_vectors(slice(None)))
 
 
 # ---------------------------------------------------------------------------

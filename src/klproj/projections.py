@@ -158,6 +158,21 @@ def _axes_beside(c: np.ndarray, order: np.ndarray, k: int) -> tuple[np.ndarray, 
     return axes, u / np.linalg.norm(u)
 
 
+def _frame_value(w: np.ndarray, lam: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(f, R^-1, R^-T b): the divergence kept by orthonormal rows w of a pair's eigenframe.
+
+    There the classes are N(0, I) and N(m, diag(lam)); b = w m.  The Householder QR of
+    diag(sqrt(lam)) w^T, rows in the pair's descending-lam order, gives M = w diag(lam) w^T
+    = R^T R without forming M, row-wise backward stable (Cox & Higham 1998), and
+    f = 1/2 [|R^-1|_F^2 - r + 2 sum log|R_ii| + |R^-T b|^2].
+    """
+    rmat = np.linalg.qr(np.sqrt(lam)[:, None] * w.T, mode="r")
+    rinv = solve_triangular(rmat, np.eye(len(rmat)), check_finite=False)
+    t = solve_triangular(rmat, w @ m, trans="T", check_finite=False)
+    logdet = 2.0 * float(np.sum(np.log(np.abs(np.diag(rmat)))))
+    return 0.5 * (float(np.sum(rinv**2)) - len(rmat) + logdet + float(t @ t)), rinv, t
+
+
 class _ClassPair(linalg.WhitenedPencil):
     """A class pair factored once: the pencil (S2, S1) whitened by S1 = L L^T.
 
@@ -198,6 +213,12 @@ class _ClassPair(linalg.WhitenedPencil):
                     z = self._z[:, s:e]
                     blas.dger(-2.0 / (v @ v), z @ v, v, a=z, overwrite_a=1)
                 m[s + 1:e], m[s] = 0.0, share
+
+    def frame_rows(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W, R): rows A, which read x = L U y + m1 as A L U y + A m1, as orthonormal
+        eigenframe rows W = Q^T, from the QR U^T L^T A^T = Q R: A L U = R^T W."""
+        q, r = np.linalg.qr(self.coords(self.factor.T @ a.T))
+        return q.T, r
 
     @property
     def split(self) -> KldBreakdown:
@@ -436,17 +457,23 @@ def lol_projection(
     leading eigenvectors of the pooled covariance (the average of the class
     covariances unless one is supplied), orthonormalized: the axes of the
     pooled eigenbasis V beside row 1's coordinates V^T (m2 - m1)
-    (``_axes_beside``), evaluated by kld_projected.  Principal directions do
-    not target discrimination, so this often retains far less divergence
-    than the divergence-aware constructions.  Equal means drop the first row
-    with a warning.
+    (``_axes_beside``), valued in the eigenframe of a pair factored for this
+    call (``_frame_value``; sweep_r and ``klproj fit`` share theirs).  Principal
+    directions do not target discrimination, so this often retains far less
+    divergence than the divergence-aware constructions.  Equal means drop
+    the first row with a warning.
     """
-    _check_same_dim(p1, p2)
-    pooled = (p1.covariance + p2.covariance) / 2.0 if pooled_cov is None else pooled_cov
-    return _lol(p1, p2, r, linalg.sym_eig(pooled))
+    pair = _ClassPair(p1, p2)
+    return _lol(pair, r, _pooled_eig(pair, pooled_cov))
 
 
-def _lol(p1: GaussianParams, p2: GaussianParams, r: int, eig: linalg.SymEigen) -> ProjectionResult:
+def _pooled_eig(pair: _ClassPair, pooled_cov: np.ndarray | None = None) -> linalg.SymEigen:
+    """Eigendecomposition of ``pooled_cov``, by default the average of the pair's covariances."""
+    return linalg.sym_eig((pair.p1.covariance + pair.p2.covariance) / 2.0 if pooled_cov is None else pooled_cov)
+
+
+def _lol(pair: _ClassPair, r: int, eig: linalg.SymEigen) -> ProjectionResult:
+    p1, p2 = pair.p1, pair.p2
     r = _check_r(r, p1.dim)
     delta, order, rows, warnings = p2.mean - p1.mean, np.arange(p1.dim), [], ()
     if _means_equal(p1, p2):
@@ -456,8 +483,9 @@ def _lol(p1: GaussianParams, p2: GaussianParams, r: int, eig: linalg.SymEigen) -
         axes, _ = _axes_beside(eig.eigenvectors.T @ delta, order, r - 1)
         rows = [delta / np.linalg.norm(delta)]
     matrix = linalg.orthonormalize_rows(np.vstack(rows + [eig.eigenvectors[:, axes].T]))
+    value = _frame_value(pair.frame_rows(matrix)[0], pair.eigenvalues, pair.eig_mean)[0]
     return ProjectionResult(matrix=matrix, frame=FRAME_ORIGINAL, method="lol",
-                            achieved_kld=kld_projected(matrix, p1, p2), warnings=warnings)
+                            achieved_kld=value, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +510,13 @@ def equal_mean_order_check(
     r = _check_r(r, _check_same_dim(p1, p2))
     if not _means_equal(p1, p2, rtol=EQUAL_MEANS_CHECK_RTOL):
         raise UnequalMeans("order comparison is defined for coinciding class means")
-    pencil = _ClassPair(p1, p2).pencil
+    pair = _ClassPair(p1, p2)
 
     def top_subspace(lam: np.ndarray) -> np.ndarray:
         sel = _ranked(g_score(lam), lam)[:r]
-        return linalg.orthonormalize_rows(pencil.eigenvectors[:, sel].T)
+        return linalg.orthonormalize_rows(pair.pencil_vectors(sel).T)
 
-    sub12 = top_subspace(pencil.eigenvalues)
-    sub21 = top_subspace(1.0 / pencil.eigenvalues)
+    sub12 = top_subspace(pair.eigenvalues)
+    sub21 = top_subspace(1.0 / pair.eigenvalues)
     angle = float(np.max(linalg.principal_angles(sub12, sub21)))
     return sub12, sub21, angle

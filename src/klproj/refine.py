@@ -3,12 +3,13 @@
 A pair factored once (``projections._ClassPair``) maps x -> U^T L^-1 (x - m1):
 class 1 becomes N(0, I) and class 2 N(m, diag(lambda)).  For orthonormal rows W
 the retained divergence there is f(W) = 1/2 [tr M^-1 - r + log det M + b^T M^-1 b]
-with M = W diag(lambda) W^T and b = W m: O(r^2 d), and M is SPD for every W.  f
-depends only on the row space, so ascent moves on the Grassmannian (Edelman,
-Arias & Smith 1998; Absil, Mahony & Sepulchre 2008): a Riemannian gradient
-step scaled by the Hessian's diagonal, a QR retraction and Armijo backtracking.
-No step size is set, no step loses ground, and the run does not depend on the
-data's linear frame.  From a closed form, ascent certifies it or improves it.
+with M = W diag(lambda) W^T = R^T R and b = W m, read off R (``_frame_value``):
+O(r^2 d), and M is SPD for every W.  f depends only on the row space, so ascent
+moves on the Grassmannian (Edelman, Arias & Smith 1998; Absil, Mahony &
+Sepulchre 2008): a Riemannian gradient step scaled by the Hessian's diagonal, a
+QR retraction and Armijo backtracking.  No step size is set, no step loses
+ground, and the run does not depend on the data's linear frame.  From a closed
+form, ascent certifies it or improves it.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from scipy.linalg import solve_triangular
 from .errors import NonPositiveInput
 from .gaussian import GaussianParams, _check_projection, _check_same_dim, kld_projected
 from .linalg import orthonormalize_rows
-from .projections import FRAME_ORIGINAL, ProjectionResult, _ClassPair
+from .projections import FRAME_ORIGINAL, ProjectionResult, _ClassPair, _frame_value
 from .synth import rng_from_seed
 
 
@@ -67,30 +68,27 @@ class AscentTrace:
 def kld_gradient(a, p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
     """Gradient of kld_projected in the projection matrix: the ascent's gradient, carried back.
 
-    U^T L^T A^T = Q R gives A L U = R^T W, W = Q^T orthonormal rows of the pair frame.
+    The pair's ``frame_rows`` gives A L U = R^T W, W orthonormal rows of the pair frame.
     _frame_point's f is invariant under W -> G W (G invertible), so its Riemannian
     gradient g is the full gradient at W, and grad = R^-1 g (L U)^T.  Defined for every
     full-row-rank A (it vanishes at r = d); one pair factorization, O(d^3), per call.
     """
-    a = _check_projection(a, _check_same_dim(p1, p2))
     pair = _ClassPair(p1, p2)
-    q, r = np.linalg.qr(pair.coords(pair.factor.T @ a.T))
-    g = _frame_point(q.T, pair.eigenvalues, pair.eig_mean)[1]
+    w, r = pair.frame_rows(_check_projection(a, p1.dim))
+    g = _frame_point(w, pair.eigenvalues, pair.eig_mean)[1]
     return solve_triangular(r, (pair.factor @ pair.combine(g.T)).T, check_finite=False)
 
 
 def _frame_point(w: np.ndarray, lam: np.ndarray, m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """(f, Riemannian gradient g, ascent step) at orthonormal rows ``w`` of the pair frame.
 
-    With c = M^-1 b and K = M^-1 - M^-2 - c c^T, f's gradient is G = K W diag(lambda) + c m^T
-    and g = G - (G W^T) W.  With K = V diag(kappa) V^T and S = G W^T (= K M + c b^T),
+    With f, M^-1 = R^-1 R^-T and c = M^-1 b from M = R^T R (``_frame_value``) and
+    K = M^-1 - M^-2 - c c^T, f's gradient is G = K W diag(lambda) + c m^T and g = G - (G W^T) W.  With K = V diag(kappa) V^T and S = G W^T (= K M + c b^T),
     |s_i - kappa_i lambda_j|, s = diag(V^T S V), is the Riemannian Hessian's diagonal in the
     rotated rows V^T W, up to sign; the step divides V^T g by it, rotates back and projects.
     """
-    b = w @ m
-    mu, p = np.linalg.eigh((w * lam) @ w.T)
-    minv = (p / mu) @ p.T
-    c = minv @ b
+    f, rinv, t = _frame_value(w, lam, m)
+    minv, c = rinv @ rinv.T, rinv @ t
     k = minv - minv @ minv - np.outer(c, c)
     grad = k @ (w * lam) + np.outer(c, m)
     gw = grad @ w.T
@@ -99,7 +97,6 @@ def _frame_point(w: np.ndarray, lam: np.ndarray, m: np.ndarray) -> tuple[float, 
     curv = np.abs(np.einsum("ji,jk,ki->i", v, gw, v)[:, None] - kappa[:, None] * lam)
     # a Hessian diagonal that is 0 throughout means a flat objective: leave g unscaled
     step = v @ ((v.T @ g) / np.maximum(curv, _CURVATURE_RTOL * curv.max() or 1.0))
-    f = 0.5 * float(np.sum(1.0 / mu) - mu.size + np.sum(np.log(mu)) + b @ c)
     return f, g, step - (step @ w.T) @ w
 
 
@@ -143,8 +140,7 @@ def gradient_ascent(
 
 def _ascend(pair: _ClassPair, a: np.ndarray, options: AscentOptions | None) -> AscentTrace:
     opts, lam, m = options or AscentOptions(), pair.eigenvalues, pair.eig_mean
-    # rows A read x = L U y + m1 as A L U y + A m1: the start's row space in the pair frame
-    w = np.linalg.qr(pair.coords(pair.factor.T @ a.T))[0].T
+    w = pair.frame_rows(a)[0]
     f, g, step = _frame_point(w, lam, m)
     iterates, reason = [(0, f)], "max_iters"
     for t in range(1, opts.max_iters + 1):
@@ -177,16 +173,14 @@ def refine_fit(
 ) -> tuple[ProjectionResult, AscentTrace]:
     """Refine a closed-form fit of ``pair``'s classes by ascent; the refined fit never retains less.
 
-    The ascent runs in the caller's factored pair from the fit's original-frame
-    rows; its best iterate is orthonormalized and re-evaluated.  Rounding in
-    that re-evaluation can land below the start, and then the start's rows and
-    value are kept.  The result is tagged "<method>_refined", in the original
-    frame, with the fit's warnings.
+    The ascent runs in the caller's pair from the fit's original-frame rows.  The
+    result holds its best iterate, orthonormalized, and the ascent's value there,
+    or the start's rows and value where rounding puts that below the fit's.  It
+    is tagged "<method>_refined", in the original frame, with the fit's warnings.
     """
     start = result.in_original_frame()
     trace = _ascend(pair, start, options)
-    matrix = orthonormalize_rows(trace.final_matrix)
-    value = kld_projected(matrix, pair.p1, pair.p2)
+    matrix, value = orthonormalize_rows(trace.final_matrix), trace.iterates[-1][1]
     if value < result.achieved_kld:
         matrix, value = start, result.achieved_kld
     refined = ProjectionResult(matrix, FRAME_ORIGINAL, f"{result.method}_refined", value,

@@ -145,7 +145,7 @@ class TestFit:
 
     def test_refine_plateau_at_start_keeps_start(self, tmp_path, monkeypatch):
         # r = t captures the whole channel divergence, so the ascent converges
-        # at its start; the re-evaluated rows are made to land one ulp below
+        # at its start; the ascent's value there is made to land one ulp below
         # the closed-form value, and the artifact must keep the start rather
         # than report a refinement that lost ground
         out = tmp_path / "c"
@@ -155,7 +155,8 @@ class TestFit:
         assert run(["fit", "--params", *params, "--r", 2, "--out", start]) == 0
         start_record = read_json(start)
         below = np.nextafter(start_record["achieved_kld"], -np.inf)
-        monkeypatch.setattr(refine, "kld_projected", lambda a, p1, p2: below)
+        frame_point = refine._frame_point
+        monkeypatch.setattr(refine, "_frame_point", lambda *args: (below, *frame_point(*args)[1:]))
         assert run(["fit", "--params", *params, "--r", 2, "--refine", "--out", refined]) == 0
         record = read_json(refined)
         ref = record["refinement"]
@@ -164,6 +165,22 @@ class TestFit:
         assert record["achieved_kld"] == start_record["achieved_kld"]
         start_rows = projection_from_dict(start_record).in_original_frame()
         assert record["matrix"] == start_rows.tolist()
+
+    def test_ill_conditioned_values_stay_within_full(self, tmp_path):
+        # seed 32 of the sweep's ill-conditioned grid, cond(S1) 5.4e8: lol's r = d
+        # rows and a refined fit are valued in the pair's eigenframe; read in the
+        # original frame, both were 7.05e-5 above the full divergence
+        rng = np.random.default_rng(1032)
+        s1 = random_spd(SpdSpec(20, 1.0, 10 ** rng.uniform(6, 9.5), 65))
+        s2 = random_spd(SpdSpec(20, 0.5, 4.0, 66))
+        files = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, cov in zip(files, (s1, s2)):
+            write_json(path, params_to_dict(GaussianParams(rng.standard_normal(20), cov)))
+        out = tmp_path / "fit.json"
+        for argv in (["--method", "lol", "--r", 20], ["--method", "alg1", "--r", 19, "--refine"]):
+            assert run(["fit", "--params", *files, *argv, "--out", out]) == 0
+            record = read_json(out)
+            assert record["achieved_kld"] <= record["full_kld"] * (1.0 + 1e-12), argv
 
     def test_refine_reaches_the_optimum_on_gen_defaults(self, tmp_path):
         # a scratch L-BFGS run in the pair's eigenframe tops out at 323.5869; the
@@ -454,6 +471,24 @@ class TestMalformedInput:
             warnings.simplefilter("error")
             code = run(argv)
         self.assert_input_error(code, capsys, mentions="infinite", error="NonFiniteInput")
+
+    def test_classify_test_cell_near_the_float_limit(self, tmp_path, capsys):
+        # the row's squared distance overflows under every class: refused, not labelled
+        out = gen_direct(tmp_path / "g", seed=1, n=20, extra=["--n-test", 10])
+        rows = (out / "test.csv").read_text().splitlines()
+        rows[1] = "1e308," + rows[1].split(",", 1)[1]
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(rows) + "\n")
+        params = [out / "params_class1.json", out / "params_class2.json"]
+        proj = tmp_path / "proj.json"
+        assert run(["fit", "--params", *params, "--r", 2, "--method", "alg2", "--out", proj]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["eval", "--projection", proj, "--params", *params, "--classify",
+                        "--train", out / "dataset.csv", "--test", big, "--out-dir", tmp_path / "ev"])
+        self.assert_input_error(code, capsys, mentions="overflows", error="NonFiniteInput")
+        assert not (tmp_path / "ev").exists()
 
     def test_regime_r_above_d(self, tmp_path, capsys):
         out = gen_direct(tmp_path / "g", seed=1, d=6)

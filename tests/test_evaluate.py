@@ -1,6 +1,7 @@
 """Sweeps, preservation ratios, plug-in classification, density grids."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from klproj import (
     sample,
     sweep_r,
 )
-from klproj.errors import DimensionMismatch, InsufficientSamples, NonPositiveInput, NumericalError
+from klproj.errors import (
+    DimensionMismatch,
+    InsufficientSamples,
+    NonFiniteInput,
+    NonPositiveInput,
+    NumericalError,
+)
 from klproj.evaluate import CONTOUR_LEVEL_FRACTION, _validate_sweep, sweep_violations
 from klproj.projections import _ClassPair
 from klproj.refine import refine_fit
@@ -31,6 +38,14 @@ def two_classes(seed, d=5):
         random_class_params(d, 0.3, 5.0, 1.0, seed),
         random_class_params(d, 0.3, 5.0, 1.0, seed + 1),
     )
+
+
+def ill_conditioned_pair(s, d=20):
+    """Seeded pair with cond(S1) = 10^U(6, 9.5) and S2's spectrum in [0.5, 4]."""
+    rng = np.random.default_rng(1000 + s)
+    s1 = random_spd(SpdSpec(d, 1.0, 10 ** rng.uniform(6, 9.5), 2 * s + 1))
+    s2 = random_spd(SpdSpec(d, 0.5, 4.0, 2 * s + 2))
+    return GaussianParams(rng.standard_normal(d), s1), GaussianParams(rng.standard_normal(d), s2)
 
 
 class TestSweepR:
@@ -57,10 +72,10 @@ class TestSweepR:
             assert by_key[("alg2_refined", r)] >= by_key[("alg2", r)]
 
     def test_refined_rows_never_below_their_start(self):
-        # at r = d the ascent plateaus at its start, and the re-evaluated best
-        # iterate of alg2 lands 1.1e-12 below it; the row must keep the start
-        p1 = random_class_params(9, 0.1, 10.0, 1.0, 1026)
-        p2 = random_class_params(9, 0.1, 10.0, 1.0, 1027)
+        # at r = d the ascent stops at its start, where its value lands 3e-16
+        # below alg1's and alg2's component sums; each row must keep the start
+        p1 = random_class_params(9, 0.1, 10.0, 1.0, 1000)
+        p2 = random_class_params(9, 0.1, 10.0, 1.0, 1001)
         table = sweep_r(p1, p2, ["alg1", "alg2"], range(1, 10), refine=True,
                         options=AscentOptions(max_iters=60))
         by_key = {(m, r): v for m, r, v in table.rows}
@@ -134,18 +149,20 @@ class TestSweepR:
                     _validate_sweep(bumped, table.full_kld)
 
     def test_ill_conditioned_pairs_pass_the_gate(self):
-        # cond(S1) up to ~3e9: alg1's rows sum their components in the pair's
-        # eigenframe, so no row exceeds the full divergence by cond(S1) * eps
+        # cond(S1) up to ~3e9: alg1's rows sum their components, and lol's and the
+        # refined rows are read in the pair's eigenframe, so no row exceeds the full
+        # divergence by cond(S1) * eps; the refined sweep runs on the four pairs
+        # where original-frame values exceeded it
         for s in range(60):
-            rng = np.random.default_rng(1000 + s)
-            s1 = random_spd(SpdSpec(20, 1.0, 10 ** rng.uniform(6, 9.5), 2 * s + 1))
-            s2 = random_spd(SpdSpec(20, 0.5, 4.0, 2 * s + 2))
-            p1 = GaussianParams(rng.standard_normal(20), s1)
-            p2 = GaussianParams(rng.standard_normal(20), s2)
-            table = sweep_r(p1, p2, ["alg1", "alg2"], range(1, 21))
-            for method, r, value in table.rows:
-                if r == 20:
-                    assert value == pytest.approx(table.full_kld, rel=1e-12), (s, method)
+            p1, p2 = ill_conditioned_pair(s)
+            tables = [sweep_r(p1, p2, ["alg1", "alg2", "lol"], range(1, 21))]
+            if s in (25, 32, 39, 41):
+                tables.append(sweep_r(p1, p2, ["alg1", "alg2", "lol"], range(1, 21), refine=True,
+                                      options=AscentOptions(max_iters=20)))
+            for table in tables:
+                for method, r, value in table.rows:
+                    if r == 20:
+                        assert value == pytest.approx(table.full_kld, rel=1e-12), (s, method)
 
 
 class TestPairwisePreservation:
@@ -224,6 +241,21 @@ class TestPluginClassifier:
         clf = plugin_classifier_train(train, np.eye(3)[:1])
         with pytest.raises(DimensionMismatch):
             clf.predict(np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("row", [[1e308, 0.0, 0.0], [1e308, 1e308, 1e308]],
+                             ids=["distance-overflows", "projection-overflows"])
+    def test_predict_refuses_points_near_the_float_limit(self, row):
+        p1 = GaussianParams(np.zeros(3), np.eye(3))
+        p2 = GaussianParams(np.ones(3) * 4.0, np.eye(3))
+        train = LabeledDataset(
+            np.vstack([sample(p1, 50, 741), sample(p2, 50, 742)]),
+            np.repeat([0, 1], 50),
+        )
+        clf = plugin_classifier_train(train, np.full((1, 3), 0.9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput):
+                clf.predict(np.array([[0.0, 0.0, 0.0], row]))
 
     def test_priors_reflect_imbalance(self):
         p1 = GaussianParams(np.zeros(2), np.eye(2))

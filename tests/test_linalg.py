@@ -173,7 +173,7 @@ class TestImplicitEigenbasis:
         np.testing.assert_allclose(pencil.coords(v), signs * (u.T @ v), atol=1e-10)
         np.testing.assert_allclose(pencil.combine(coeffs), u @ (signs * coeffs), atol=1e-10)
         vecs = np.linalg.solve(np.linalg.cholesky(c).T, u)
-        np.testing.assert_allclose(pencil.pencil.eigenvectors,
+        np.testing.assert_allclose(pencil.pencil_vectors(slice(None)),
                                    vecs / np.linalg.norm(vecs, axis=0) * signs, atol=1e-10)
 
     @pytest.mark.parametrize("factor", [2.0, 1e100])

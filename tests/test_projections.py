@@ -558,10 +558,11 @@ class TestPairFactoredOnce:
     def test_sweep_reads_the_full_divergence_off_the_pair(self):
         p1, p2 = channel_pair()
         table = sweep_r(p1, p2, ["alg1", "alg2"], range(1, 6))
-        # no kld call: class 2's covariance was never factored
+        lol = sweep_r(p1, p2, ["lol"], [1, 2])
+        # no kld call, with or without alg1/alg2: class 2's covariance was never factored
         assert "factor" not in vars(p2)
+        assert lol.full_kld == table.full_kld == _ClassPair(p1, p2).split.total
         assert table.full_kld == pytest.approx(kld(p1, p2), rel=1e-13)
-        assert sweep_r(p1, p2, ["lol"], [1, 2]).full_kld == kld(p1, p2)
 
     @pytest.mark.parametrize("make_pair", [channel_pair, proportional_pair, near_identity_pair])
     def test_split_read_off_the_spectrum(self, make_pair):
@@ -642,9 +643,9 @@ class TestPencilCandidates:
         scores = g_score(pair.eigenvalues)
         order = projections._ranked(scores, pair.eigenvalues)
         first = np.linalg.solve(p2.covariance, p2.mean - p1.mean)
-        top = pair.pencil.eigenvectors[:, order[0]]
+        top = pair.pencil_vectors(order[0])
         assert linalg.numerical_rank(np.vstack([first / np.linalg.norm(first), top])) == 1
-        stack = np.vstack([first, pair.pencil.eigenvectors[:, order[1:4]].T])
+        stack = np.vstack([first, pair.pencil_vectors(order[1:4]).T])
         res = mean_first_projection(p1, p2, 4)
         assert res.component_scores == tuple(scores[order[1:4]])
         assert np.max(principal_angles(res.matrix, stack)) < 1e-10

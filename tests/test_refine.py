@@ -279,15 +279,16 @@ class TestRefineFit:
         refined, trace = refine.refine_fit(_ClassPair(p1, p2), start, AscentOptions(max_iters=100))
         assert (refined.method, refined.frame, refined.warnings) == ("alg2_refined", "original", ("w",))
         assert refined.matrix_original is None and refined.component_scores is None
-        # the best iterate, orthonormalized, re-evaluated
+        # the best iterate, orthonormalized, with the ascent's own value there
         assert refined.achieved_kld > start.achieved_kld
         np.testing.assert_array_equal(refined.matrix, linalg.orthonormalize_rows(trace.final_matrix))
-        assert refined.achieved_kld == kld_projected(refined.matrix, p1, p2)
+        assert refined.achieved_kld == trace.iterates[-1][1]
+        assert refined.achieved_kld == pytest.approx(kld_projected(refined.matrix, p1, p2), rel=1e-12)
 
 
 class TestAscentWork:
     def test_each_point_is_projected_and_factored_once(self, monkeypatch):
-        # a point is one r x r M = W diag(lambda) W^T and its eigh: no projected
+        # a point is one QR of diag(sqrt(lambda)) W^T and one r x r eigh: no projected
         # classes, no r x r Cholesky; the pair is tridiagonalized once per run
         d, r = 20, 3
         p1 = random_class_params(d, 0.3, 5.0, 1.0, 521)
@@ -318,8 +319,8 @@ class TestAscentWork:
         start = mean_first_projection(p1, p2, r)
         counts.update(params=0, cholesky=0, dsytrd=0)
         refine.refine_fit(pair, start, AscentOptions(max_iters=30, patience=31))
-        # only the refined rows' one re-evaluation: two projected classes, each certified and factored
-        assert counts == {"params": 2, "cholesky": 4, "dsytrd": 0}
+        # the value is the ascent's own: no projected classes, no r x r Cholesky
+        assert counts == {"params": 0, "cholesky": 0, "dsytrd": 0}
 
 
 class TestRandomInitialMatrix:
