@@ -35,19 +35,7 @@ from .gaussian import (
     pooled_covariance,
     project_params,
 )
-from .projections import (
-    FRAME_WHITENED,
-    ProjectionResult,
-    _auto,
-    _ClassPair,
-    _lol,
-    _mean_first,
-    _pooled_eig,
-    _whitened_component,
-    lda_direction,
-    multiclass_lda,
-    select_regime,
-)
+from .projections import FITS, FRAME_WHITENED, _auto, _ClassPair, multiclass_lda, select_regime
 from .refine import AscentOptions, refine_fit
 from .evaluate import MAX_RESOLUTION, density_grid, pairwise_preservation, plugin_classifier_train, sweep_r
 from .synth import ChannelSpec, embed_channel, random_class_params, sample, sub_seeds
@@ -161,22 +149,6 @@ def _load_classes(args) -> tuple[list[GaussianParams], LabeledDataset | None]:
     raise ValueError("one of --params or --dataset is required")
 
 
-def _fit_two_class(args, pair: _ClassPair, data: LabeledDataset | None) -> ProjectionResult:
-    r = args.r
-    if args.method == "auto":
-        return _auto(pair, r, args.mode)
-    if args.method == "alg1":
-        return _mean_first(pair, r)
-    if args.method == "alg2":
-        return _whitened_component(pair, r)
-    if args.method == "lol":
-        return _lol(pair, r, _pooled_eig(pair, None if data is None else pooled_covariance(data)))
-    if args.method == "lda":
-        if r != 1:
-            raise ValueError("lda produces a single direction; use --r 1")
-        return lda_direction(pair.p1, pair.p2)
-
-
 def cmd_fit(args) -> int:
     plist, data = _load_classes(args)
     if args.swap:
@@ -194,8 +166,11 @@ def cmd_fit(args) -> int:
             raise ValueError(f"method {args.method!r} uses exactly 2 classes, got {len(plist)}")
         if args.r is None:
             raise ValueError(f"--r is required for method {args.method!r}")
-        pair = _ClassPair(*plist)
-        result = _fit_two_class(args, pair, data)
+        if args.method == "lda" and args.r != 1:
+            raise ValueError("lda produces a single direction; use --r 1")
+        pooled = pooled_covariance(data) if args.method == "lol" and data is not None else None
+        pair = _ClassPair(*plist, pooled)
+        result = _auto(pair, args.r, args.mode) if args.method == "auto" else FITS[args.method](pair, args.r)
         extras["full_kld"] = pair.split.total
         extras["regime"] = asdict(pair.regime(result.r))
         if args.refine:
@@ -396,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_class_source(fit)
     fit.add_argument("--r", type=int, default=None, help="projection rank")
     fit.add_argument("--method", default="auto",
-                     choices=["auto", "alg1", "alg2", "lda", "mclda", "lol"])
+                     choices=["auto", *FITS, "mclda"])
     fit.add_argument("--mode", default="rule", choices=["rule", "compare"],
                      help="how --method auto picks between alg1 and alg2")
     fit.add_argument("--refine", action="store_true", help="gradient-refine the fit")

@@ -21,7 +21,7 @@ from .gaussian import (
     log_density,
     project_params,
 )
-from .projections import _ClassPair, _lol, _mean_first, _pooled_eig, _whitened_component, lda_direction
+from .projections import FITS, _ClassPair
 from .refine import AscentOptions, refine_fit
 
 # Divergences below this are treated as zero when forming preservation
@@ -31,8 +31,6 @@ _ZERO_KLD = 1e-12
 # Slack, relative to max(1, full divergence), allowed on a sweep's
 # data-processing and ordering bounds before it is rejected.
 _DPI_SLACK = 1e-8
-
-_METHOD_TAGS = ("alg1", "alg2", "lda", "lol")
 
 # Largest density grid resolution per axis: the grid holds 2 * resolution**2
 # density values, and the CLI writes each one as a CSV row.
@@ -97,38 +95,30 @@ def sweep_r(
 ) -> SweepTable:
     """Fit each method at each r and tabulate the retained divergence.
 
-    methods is any subset of {"alg1", "alg2", "lda", "lol"}; "lda" yields a
-    single direction and is only emitted at r = 1.  With refine=True each
-    closed-form result is refined by ``refine_fit``, and its retained
-    divergence (never below the start's) is added under the tag
-    "<method>_refined".  The class pair is factored once, whatever the
-    methods: it serves every r, every refinement, lol's values and full_kld,
-    its split total; lol's pooled eigendecomposition serves every r too.  The
-    table is validated before it is returned.
+    methods is any subset of the tags of ``projections.FITS`` ("alg1", "alg2",
+    "lda", "lol"); "lda" yields a single direction and is only emitted at
+    r = 1.  With refine=True each closed-form result is refined by
+    ``refine_fit``, and its retained divergence (never below the start's) is
+    added under the tag "<method>_refined".  The class pair is factored once,
+    whatever the methods: every fit, every refinement and full_kld, its split
+    total, read that one pair.  The table is validated before it is returned.
     """
     methods = sorted(set(methods))
     for m in methods:
-        if m not in _METHOD_TAGS:
-            raise ValueError(f"unknown method tag {m!r}; expected one of {_METHOD_TAGS}")
+        if m not in FITS:
+            raise ValueError(f"unknown method tag {m!r}; expected one of {tuple(FITS)}")
     r_values = sorted({int(r) for r in r_values})
     if not r_values or not methods:
         raise ValueError("need at least one method and one r value")
 
     pair = _ClassPair(p1, p2)
     full = pair.split.total
-    pooled = _pooled_eig(pair) if "lol" in methods else None
-    fitters = {
-        "alg1": lambda r: _mean_first(pair, r),
-        "alg2": lambda r: _whitened_component(pair, r),
-        "lol": lambda r: _lol(pair, r, pooled),
-        "lda": lambda r: lda_direction(p1, p2),
-    }
     rows = []
     for method in methods:
         for r in r_values:
             if method == "lda" and r != 1:
                 continue
-            result = fitters[method](r)
+            result = FITS[method](pair, r)
             rows.append((method, r, float(result.achieved_kld)))
             if refine:
                 refined, _ = refine_fit(pair, result, options)

@@ -25,6 +25,7 @@ divergence-order diagnostic ``equal_mean_order_check`` round out the module.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -187,12 +188,17 @@ class _ClassPair(linalg.WhitenedPencil):
     share |m_c| exceeds _CLUSTER_RTOL |m| takes its mean eigenvalue (exactly
     1 when that is 1 within the tolerance), and one Householder reflector
     puts its whole share on its first vector; other clusters stay as factored.
+
+    ``value`` reads the divergence any original-frame rows keep in this
+    eigenframe, and ``pooled`` is lol's basis: the eigendecomposition of
+    ``pooled_cov``, by default the average of the class covariances, formed
+    on first read.
     """
 
-    def __init__(self, p1: GaussianParams, p2: GaussianParams):
+    def __init__(self, p1: GaussianParams, p2: GaussianParams, pooled_cov: np.ndarray | None = None):
         _check_same_dim(p1, p2)
         super().__init__(p2.covariance, p1.covariance, p1.factor)
-        self.p1, self.p2 = p1, p2
+        self.p1, self.p2, self._pooled_cov = p1, p2, pooled_cov
         self.whitened_mean = solve_triangular(self.factor, p2.mean - p1.mean, lower=True,
                                               check_finite=False)
         # m = U^T whitened_mean: the mean offset along each whitened eigendirection
@@ -219,6 +225,19 @@ class _ClassPair(linalg.WhitenedPencil):
         eigenframe rows W = Q^T, from the QR U^T L^T A^T = Q R: A L U = R^T W."""
         q, r = np.linalg.qr(self.coords(self.factor.T @ a.T))
         return q.T, r
+
+    def value(self, a: np.ndarray) -> float:
+        """The divergence kept by original-frame rows a, read in the eigenframe (``_frame_value``)."""
+        return _frame_value(self.frame_rows(a)[0], self.eigenvalues, self.eig_mean)[0]
+
+    @cached_property
+    def pooled(self) -> linalg.SymEigen:
+        cov = self._pooled_cov
+        cov = (self.p1.covariance + self.p2.covariance) / 2.0 if cov is None else cov
+        if np.shape(cov) != self.p1.covariance.shape:
+            raise DimensionMismatch(f"pooled covariance has shape {np.shape(cov)}, the classes' "
+                                    f"covariances {self.p1.covariance.shape}")
+        return linalg.sym_eig(cov)
 
     @property
     def split(self) -> KldBreakdown:
@@ -252,20 +271,21 @@ def lda_direction(p1: GaussianParams, p2: GaussianParams) -> ProjectionResult:
 
     With equal covariances this single direction retains the full divergence;
     in general it is the classical linear baseline.  Requires distinct means.
+    Its value is read in the eigenframe of a pair factored for this call
+    (``_ClassPair.value``; sweep_r and ``klproj fit`` share theirs).
     """
-    _check_same_dim(p1, p2)
+    return _lda(_ClassPair(p1, p2), 1)
+
+
+def _lda(pair: _ClassPair, r: int) -> ProjectionResult:
+    """lda's one row; r is 1 (sweep_r skips, and ``klproj fit`` refuses, other ranks)."""
+    p1, p2 = pair.p1, pair.p2
     if _means_equal(p1, p2):
         raise EqualMeans("class means coincide; the discriminant direction is undefined")
-    pooled = (p1.covariance + p2.covariance) / 2.0
-    l = _cholesky(pooled, "pooled covariance")
-    w = cho_solve((l, True), p2.mean - p1.mean)
+    w = cho_solve((_cholesky((p1.covariance + p2.covariance) / 2.0, "pooled covariance"), True),
+                  p2.mean - p1.mean)
     row = (w / np.linalg.norm(w))[None, :]
-    return ProjectionResult(
-        matrix=row,
-        frame=FRAME_ORIGINAL,
-        method="lda",
-        achieved_kld=kld_projected(row, p1, p2),
-    )
+    return ProjectionResult(matrix=row, frame=FRAME_ORIGINAL, method="lda", achieved_kld=pair.value(row))
 
 
 def mean_first_projection(p1: GaussianParams, p2: GaussianParams, r: int) -> ProjectionResult:
@@ -383,8 +403,7 @@ def fit_auto(p1: GaussianParams, p2: GaussianParams, r: int, mode: str = "rule")
 
 def _auto(pair: _ClassPair, r: int, mode: str) -> ProjectionResult:
     use = pair.regime(r).recommendation if mode == "rule" else "compare_both"
-    fits = [fit(pair, r) for tag, fit in (("alg1", _mean_first), ("alg2", _whitened_component))
-            if use in (tag, "compare_both")]
+    fits = [FITS[tag](pair, r) for tag in ("alg1", "alg2") if use in (tag, "compare_both")]
     first, last = fits[0], fits[-1]
     return last if last.achieved_kld > (1.0 + _TIE_RTOL) * first.achieved_kld else first
 
@@ -457,35 +476,34 @@ def lol_projection(
     leading eigenvectors of the pooled covariance (the average of the class
     covariances unless one is supplied), orthonormalized: the axes of the
     pooled eigenbasis V beside row 1's coordinates V^T (m2 - m1)
-    (``_axes_beside``), valued in the eigenframe of a pair factored for this
-    call (``_frame_value``; sweep_r and ``klproj fit`` share theirs).  Principal
+    (``_axes_beside``).  V is the ``pooled`` basis of a pair factored for this
+    call, and the value is read in that pair's eigenframe (``_ClassPair.value``;
+    sweep_r and ``klproj fit`` share their pair).  Principal
     directions do not target discrimination, so this often retains far less
     divergence than the divergence-aware constructions.  Equal means drop
     the first row with a warning.
     """
-    pair = _ClassPair(p1, p2)
-    return _lol(pair, r, _pooled_eig(pair, pooled_cov))
+    return _lol(_ClassPair(p1, p2, pooled_cov), r)
 
 
-def _pooled_eig(pair: _ClassPair, pooled_cov: np.ndarray | None = None) -> linalg.SymEigen:
-    """Eigendecomposition of ``pooled_cov``, by default the average of the pair's covariances."""
-    return linalg.sym_eig((pair.p1.covariance + pair.p2.covariance) / 2.0 if pooled_cov is None else pooled_cov)
-
-
-def _lol(pair: _ClassPair, r: int, eig: linalg.SymEigen) -> ProjectionResult:
+def _lol(pair: _ClassPair, r: int) -> ProjectionResult:
     p1, p2 = pair.p1, pair.p2
     r = _check_r(r, p1.dim)
     delta, order, rows, warnings = p2.mean - p1.mean, np.arange(p1.dim), [], ()
+    basis = pair.pooled.eigenvectors
     if _means_equal(p1, p2):
         axes, warnings = order[:r], ("class means coincide; using principal directions of the "
                                      "pooled covariance only",)
     else:
-        axes, _ = _axes_beside(eig.eigenvectors.T @ delta, order, r - 1)
+        axes, _ = _axes_beside(basis.T @ delta, order, r - 1)
         rows = [delta / np.linalg.norm(delta)]
-    matrix = linalg.orthonormalize_rows(np.vstack(rows + [eig.eigenvectors[:, axes].T]))
-    value = _frame_value(pair.frame_rows(matrix)[0], pair.eigenvalues, pair.eig_mean)[0]
+    matrix = linalg.orthonormalize_rows(np.vstack(rows + [basis[:, axes].T]))
     return ProjectionResult(matrix=matrix, frame=FRAME_ORIGINAL, method="lol",
-                            achieved_kld=value, warnings=warnings)
+                            achieved_kld=pair.value(matrix), warnings=warnings)
+
+
+# The two-class fits on a factored pair, by method tag: (pair, r) -> ProjectionResult.
+FITS = {"alg1": _mean_first, "alg2": _whitened_component, "lda": _lda, "lol": _lol}
 
 
 # ---------------------------------------------------------------------------

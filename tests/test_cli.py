@@ -182,6 +182,22 @@ class TestFit:
             record = read_json(out)
             assert record["achieved_kld"] <= record["full_kld"] * (1.0 + 1e-12), argv
 
+    def test_ill_conditioned_lda_stays_within_full(self, tmp_path):
+        # seed 17 of the sweep's equal-covariance grid, S2 = S1: lda's value is read
+        # in the pair's eigenframe; read in the original frame it was 5.3e-8 relative
+        # above the full divergence, and the sweep refused the pair (exit 3)
+        rng = np.random.default_rng(1017)
+        s1 = random_spd(SpdSpec(20, 1.0, 10 ** rng.uniform(8, 9.9), 35))
+        files = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in files:
+            write_json(path, params_to_dict(GaussianParams(rng.standard_normal(20), s1)))
+        out = tmp_path / "lda.json"
+        assert run(["fit", "--params", *files, "--method", "lda", "--r", 1, "--out", out]) == 0
+        record = read_json(out)
+        assert record["achieved_kld"] <= record["full_kld"] * (1.0 + 1e-12)
+        assert run(["eval", "--projection", out, "--params", *files, "--sweep-r", "1..1",
+                    "--methods", "lda", "--out-dir", tmp_path / "sweep"]) == 0
+
     def test_refine_reaches_the_optimum_on_gen_defaults(self, tmp_path):
         # a scratch L-BFGS run in the pair's eigenframe tops out at 323.5869; the
         # parent's Adam ascent stayed at the alg1 start, 323.3840, as "converged"

@@ -74,9 +74,11 @@ class TestLdaDirection:
             assert res.achieved_kld == pytest.approx(kld(p1, p2), rel=1e-10)
 
     def test_indefinite_pooled_covariance_is_not_positive_definite(self):
-        # classes built around validation: the pooled covariance has no factor
+        # classes built around validation: each keeps the factor of I it cached
+        # first, so the pair factors, but the pooled covariance has no factor
         p1, p2 = iso([0.0, 0.0]), iso([1.0, 0.0])
         for p in (p1, p2):
+            p.factor
             object.__setattr__(p, "covariance", np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefinite, match="pooled covariance"):
             lda_direction(p1, p2)
@@ -332,6 +334,12 @@ class TestLolProjection:
         default = lol_projection(p1, p2, 3)
         override = lol_projection(p1, p2, 3, pooled_cov=np.diag([1.0, 2.0, 3.0, 4.0]))
         assert np.max(principal_angles(default.matrix, override.matrix)) > 1e-6
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_mis_shaped_pooled_covariance_is_a_dimension_mismatch(self, size):
+        p1, p2 = iso([0.0, 0.0, 0.0, 0.0]), iso([1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(DimensionMismatch, match=rf"\({size}, {size}\).*\(4, 4\)"):
+            lol_projection(p1, p2, 2, pooled_cov=np.eye(size))
 
     def test_equal_means_warn(self):
         p1 = iso([1.0, 1.0, 1.0])
