@@ -30,11 +30,11 @@ from .errors import DimensionMismatch, KlprojError, NonPositiveInput
 from .gaussian import (
     GaussianParams,
     LabeledDataset,
-    _check_projection,
     estimate_params,
     pooled_covariance,
     project_params,
 )
+from .linalg import check_rows
 from .projections import FITS, FRAME_WHITENED, _auto, _ClassPair, multiclass_lda, select_regime
 from .refine import AscentOptions, refine_fit
 from .evaluate import MAX_RESOLUTION, density_grid, pairwise_preservation, plugin_classifier_train, sweep_r
@@ -253,7 +253,7 @@ def cmd_eval(args) -> int:
         for index, (fname, proj) in enumerate(planar, start=1):
             if proj.frame == FRAME_WHITENED:
                 # derived from the original rows: the 2 x 2 pair along its whitened axes
-                a = _check_projection(proj.matrix_original, p1.dim)
+                a = check_rows(proj.matrix_original, p1.dim)
                 planar_pair = _ClassPair(project_params(a, p1), project_params(a, p2))
                 grid = density_grid(np.eye(2), *planar_pair.whitened_axes(),
                                     resolution=args.resolution)
@@ -287,7 +287,7 @@ def cmd_eval(args) -> int:
         if not planar:
             raise ValueError("--scatter needs a projection with exactly 2 rows")
         for index, (fname, proj) in enumerate(planar, start=1):
-            pts = data.samples @ proj.in_original_frame().T
+            pts = data.samples @ check_rows(proj.in_original_frame(), data.dim).T
             name = "scatter.csv" if len(planar) == 1 else f"scatter_{index}.csv"
             sidecar_cfg = dict(config, projection_file=Path(fname).name, source=Path(source).name)
             writes.append((_write_csv, (out / name, ["x", "y", "class"],

@@ -15,12 +15,13 @@ from .errors import DimensionMismatch, InsufficientSamples, NonPositiveInput, Nu
 from .gaussian import (
     GaussianParams,
     LabeledDataset,
-    _check_projection,
+    _check_classes,
     estimate_params,
     kld,
     log_density,
     project_params,
 )
+from .linalg import _as_points, check_rows
 from .projections import FITS, _ClassPair
 from .refine import AscentOptions, refine_fit
 
@@ -133,12 +134,11 @@ def pairwise_preservation(params: list[GaussianParams], a) -> np.ndarray:
     Entry (i, j) is kld_projected(a, p_i, p_j) / kld(p_i, p_j); the diagonal
     (and any pair with vanishing full divergence) uses the 0/0 := 1
     convention.  Data processing keeps every entry at or below 1 up to
-    roundoff.
+    roundoff.  The classes (at least 2, of one dimension) and the rows
+    (linalg.check_rows) are checked once, and each class is projected once.
     """
     k = len(params)
-    if k < 2:
-        raise DimensionMismatch(f"need at least 2 classes, got {k}")
-    a = _check_projection(np.asarray(a, dtype=float), params[0].dim)
+    a = check_rows(a, _check_classes(*params))
     projected = [project_params(a, p) for p in params]
     ratios = np.ones((k, k))
     for i, j in itertools.permutations(range(k), 2):
@@ -163,12 +163,7 @@ class PluginClassifier:
 
     def predict(self, x) -> np.ndarray:
         """Most probable class label for each row of x (original space)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.projection.shape[1]:
-            raise DimensionMismatch(
-                f"samples have dimension {x.shape[1]}, classifier expects "
-                f"{self.projection.shape[1]}"
-            )
+        x = _as_points(np.atleast_2d(x), self.projection.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):  # log_density refuses what overflows
             z = x @ self.projection.T
         scores = np.column_stack(
@@ -187,7 +182,7 @@ def plugin_classifier_train(train: LabeledDataset, a) -> PluginClassifier:
     Each class needs more than r + 1 samples so its projected covariance has
     a chance of being nonsingular.
     """
-    a = _check_projection(np.asarray(a, dtype=float), train.dim)
+    a = check_rows(a, train.dim)
     r = a.shape[0]
     labels = train.class_labels
     counts = np.array([np.count_nonzero(train.labels == lab) for lab in labels])
@@ -238,7 +233,7 @@ def density_grid(
     projected mean minus four projected standard deviations to the largest
     plus four.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    a = check_rows(a, _check_classes(p1, p2))
     if a.shape[0] != 2:
         raise DimensionMismatch(f"density grids need a 2-row projection, got {a.shape[0]} rows")
     if int(resolution) < 2:
@@ -246,7 +241,7 @@ def density_grid(
     if int(resolution) > MAX_RESOLUTION:
         raise DimensionMismatch(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
     resolution = int(resolution)
-    q1 = project_params(_check_projection(a, p1.dim), p1)
+    q1 = project_params(a, p1)
     q2 = project_params(a, p2)
 
     half = [4.0 * np.sqrt(np.diag(q.covariance)) for q in (q1, q2)]

@@ -26,7 +26,6 @@ from .errors import (
     NonPositiveInput,
     NotPositiveDefinite,
     NumericalError,
-    RankDeficient,
 )
 
 # Divergences are mathematically nonnegative; results in [-NEG_TOL, 0) are
@@ -48,8 +47,9 @@ _TRACE_BLOCK = 128
 class GaussianParams:
     """Mean vector and SPD covariance of one Gaussian class.
 
-    Validation happens at construction: the mean must be finite, the
-    covariance square with matching dimension, symmetric up to a relative
+    Validation happens at construction: the mean must be a finite vector
+    (linalg._as_array), the covariance a finite square matrix
+    (linalg._as_square) of matching dimension, symmetric up to a relative
     1e-8 (it is stored symmetrized), and positive definite per
     linalg.assert_spd's rule, mostly certified by one Cholesky of a shifted
     copy (linalg.certify_spd), made in place in the d x d scratch that held
@@ -61,20 +61,14 @@ class GaussianParams:
     covariance: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
+        mean = linalg._as_array(self.mean, "mean")
         if mean.ndim != 1:
             raise DimensionMismatch(f"mean must be a vector, got shape {mean.shape}")
-        if not np.all(np.isfinite(mean)):
-            raise NonFiniteInput("mean contains NaN or infinite entries")
-        cov = np.asarray(self.covariance, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise DimensionMismatch(f"covariance must be square, got shape {cov.shape}")
+        cov = linalg._as_square(self.covariance, "covariance")
         if cov.shape[0] != mean.shape[0]:
             raise DimensionMismatch(
                 f"mean has dimension {mean.shape[0]} but covariance is {cov.shape[0]}x{cov.shape[0]}"
             )
-        if not np.all(np.isfinite(cov)):
-            raise NonFiniteInput("covariance contains NaN or infinite entries")
         with np.errstate(over="ignore"):  # an overflow is caught below
             # the kept array first: the scratch, freed on return, then leaves no hole below it
             sym = (cov + cov.T) / 2.0  # numpy halves the fresh sum in place (temporary elision)
@@ -115,11 +109,7 @@ class LabeledDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.samples, dtype=float)
-        if x.ndim != 2:
-            raise DimensionMismatch(f"samples must be an n x d matrix, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteInput("samples contain NaN or infinite entries")
+        x = linalg._as_points(self.samples)
         y = np.asarray(self.labels)
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise DimensionMismatch(
@@ -178,10 +168,12 @@ def _clamp_nonneg(value: float, what: str) -> float:
     return max(value, 0.0)
 
 
-def _check_same_dim(p1: GaussianParams, p2: GaussianParams) -> int:
-    if p1.dim != p2.dim:
-        raise DimensionMismatch(f"class dimensions differ: {p1.dim} vs {p2.dim}")
-    return p1.dim
+def _check_classes(*params: GaussianParams) -> int:
+    """The one dimension of two or more classes; DimensionMismatch for fewer or mixed."""
+    dims = [p.dim for p in params]
+    if len(dims) < 2 or len(set(dims)) > 1:
+        raise DimensionMismatch(f"need at least 2 classes of one dimension, got dimensions {dims}")
+    return dims[0]
 
 
 def _kld_pieces(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
@@ -190,7 +182,7 @@ def _kld_pieces(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
     L2^-1 L1 is lower triangular: its columns j:j+b are L2[j:, j:]^-1 L1[j:, j:j+b]
     below row j and zero above, d^3/3 flops over all blocks instead of d^3.
     """
-    d = _check_same_dim(p1, p2)
+    d = _check_classes(p1, p2)
     l1, l2 = p1.factor, p2.factor
     # factors of validated classes are finite: skip scipy's per-call scan
     trace = 0.0
@@ -228,30 +220,15 @@ def project_params(a: np.ndarray, p: GaussianParams) -> GaussianParams:
     return GaussianParams(a @ p.mean, (cov + cov.T) / 2.0)
 
 
-def _check_projection(a, dim: int) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteInput("projection matrix contains NaN or infinite entries")
-    r, d = a.shape
-    if d != dim:
-        raise DimensionMismatch(f"projection has {d} columns but classes live in dimension {dim}")
-    if r > d:
-        raise DimensionMismatch(f"projection must have at most {d} rows, got {r}")
-    rank = linalg.numerical_rank(a)
-    if rank < r:
-        raise RankDeficient(f"projection rows are numerically dependent: rank {rank} < {r}", rank=rank)
-    return a
-
 def kld_projected(a, p1: GaussianParams, p2: GaussianParams) -> float:
     """Divergence between the classes after projecting with the rows of ``a``.
 
-    ``a`` is an r x d matrix of full row rank (rows need not be orthonormal;
-    the divergence depends only on the row space).  By data processing this
-    never exceeds kld(p1, p2).  A near-singular projected covariance
-    surfaces as NotPositiveDefinite.
+    ``a`` is an r x d matrix of full row rank, as linalg.check_rows reads it
+    (rows need not be orthonormal; the divergence depends only on the row
+    space).  By data processing this never exceeds kld(p1, p2).  A
+    near-singular projected covariance surfaces as NotPositiveDefinite.
     """
-    d = _check_same_dim(p1, p2)
-    a = _check_projection(a, d)
+    a = linalg.check_rows(a, _check_classes(p1, p2))
     return kld(project_params(a, p1), project_params(a, p2))
 
 
@@ -262,12 +239,14 @@ def chernoff_information(p1: GaussianParams, p2: GaussianParams) -> float:
 
         s(1-s)/2 (m2-m1)^T Ss^-1 (m2-m1) + 1/2 ln(|Ss| / (|S1|^s |S2|^(1-s)))
 
-    with Ss = s S1 + (1-s) S2, by golden-section search (the exponent is
-    concave in s); the search interval is narrowed to 1e-10.  Equals
+    with Ss = s S1 + (1-s) S2, by scipy's bounded Brent search (the exponent
+    is concave in s) to an s tolerance of 1e-10.  Equals
     kld(p1, p2) / 4 when the covariances coincide, and 0 for identical
     classes.
     """
-    _check_same_dim(p1, p2)
+    from scipy.optimize import minimize_scalar  # imported here: klproj's import stays light
+
+    _check_classes(p1, p2)
     logdet1 = _chol_logdet(p1.factor)
     logdet2 = _chol_logdet(p2.factor)
     delta = p2.mean - p1.mean
@@ -281,22 +260,9 @@ def chernoff_information(p1: GaussianParams, p2: GaussianParams) -> float:
             logdet_mix - s * logdet1 - (1.0 - s) * logdet2
         )
 
-    # golden-section search for the concave maximum on [0, 1]
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, 1.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = exponent(x1), exponent(x2)
-    while hi - lo > 1e-10:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = exponent(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = exponent(x1)
-    return _clamp_nonneg(max(f1, f2), "Chernoff information")
+    best = minimize_scalar(lambda s: -exponent(s), bounds=(0.0, 1.0), method="bounded",
+                           options={"xatol": 1e-10})
+    return _clamp_nonneg(-best.fun, "Chernoff information")
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +287,8 @@ def component_kld(m, lam):
     whitened direction with projected mean offset ``m`` and variance ratio
     ``L``.  g_score(L) is its value at m = 0.  Accepts scalars or arrays.
     """
-    m_arr = np.asarray(m, dtype=float)
-    lam_arr = np.asarray(lam, dtype=float)
-    if not (np.all(np.isfinite(m_arr)) and np.all(np.isfinite(lam_arr))):
-        raise NonFiniteInput("component inputs contain NaN or infinite entries")
+    m_arr = linalg._as_array(m, "mean offset")
+    lam_arr = linalg._as_array(lam, "variance ratio")
     if np.any(lam_arr <= 0.0):
         raise NonPositiveInput("variance ratio must be strictly positive")
     out = 0.5 * (np.log(lam_arr) - 1.0 + (1.0 + m_arr**2) / lam_arr)
@@ -339,11 +303,8 @@ def component_kld(m, lam):
 
 def log_density(p: GaussianParams, x) -> np.ndarray | float:
     """Log density of N(mean, covariance) at one point or rows of points; NonFiniteInput on overflow."""
-    pts = linalg._as_array(x, "points")
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != p.dim:
-        raise DimensionMismatch(f"points have dimension {pts.shape[1]}, class has {p.dim}")
+    single = np.ndim(x) == 1
+    pts = linalg._as_points(np.atleast_2d(x), p.dim)
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows is refused below
         y = solve_triangular(p.factor, (pts - p.mean).T, lower=True, check_finite=False)
         quad = np.sum(y * y, axis=0)

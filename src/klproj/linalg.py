@@ -51,6 +51,34 @@ def _as_square(m, name: str) -> np.ndarray:
     return a
 
 
+def _as_points(x, dim: int | None = None) -> np.ndarray:
+    """Finite points as the rows of an n x d matrix, d = ``dim`` when given."""
+    pts = _as_array(x, "points")
+    if pts.ndim != 2:
+        raise DimensionMismatch(f"points must be an n x d matrix, got shape {pts.shape}")
+    if dim is not None and pts.shape[1] != dim:
+        raise DimensionMismatch(f"points have dimension {pts.shape[1]}, expected {dim}")
+    return pts
+
+
+def check_rows(a, dim: int) -> np.ndarray:
+    """``a`` as a finite r x ``dim`` matrix of full row rank (r <= dim); a vector is one row.
+
+    Raises NonFiniteInput, DimensionMismatch, or RankDeficient carrying the
+    numerical_rank of rows that are numerically dependent.
+    """
+    a = np.atleast_2d(_as_array(a, "projection"))
+    if a.ndim != 2 or a.shape[1] != dim:
+        raise DimensionMismatch(f"projection must be an r x {dim} matrix, got shape {a.shape}")
+    r = a.shape[0]
+    if r > dim:
+        raise DimensionMismatch(f"projection must have at most {dim} rows, got {r}")
+    rank = numerical_rank(a)
+    if rank < r:
+        raise RankDeficient(f"projection rows are numerically dependent: rank {rank} < {r}", rank=rank)
+    return a
+
+
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
@@ -112,7 +140,7 @@ def spd_eigenvalues(m, name: str = "matrix") -> SymEigen:
     at or below SPD_RTOL * max(1, largest eigenvalue), reporting the
     offending eigenvalue.
     """
-    e = sym_eig(_as_square(m, name))
+    e = sym_eig(m)
     _reject_unless_spd(e.eigenvalues[-1], e.eigenvalues[0], name)
     return e
 
@@ -262,19 +290,12 @@ def orthonormalize_rows(a) -> np.ndarray:
     The result spans the same row space (principal angles at the roundoff
     level) and is computed by QR on the transpose with the sign convention
     that makes the factorization deterministic: a single row comes back as
-    itself normalized.  Raises RankDeficient (with the detected rank) when
-    the rows are numerically dependent.
+    itself normalized.  ``a`` passes check_rows at its own column count:
+    finite, no more rows than columns, and of full row rank (else
+    RankDeficient, with the detected rank).
     """
-    a = np.atleast_2d(_as_array(a, "matrix"))
-    r, d = a.shape
-    if r > d:
-        raise DimensionMismatch(f"need rows <= columns, got shape {a.shape}")
-    rank = numerical_rank(a)
-    if rank < r:
-        raise RankDeficient(
-            f"rows are numerically dependent: rank {rank} < {r}", rank=rank
-        )
-    q, rmat = np.linalg.qr(a.T)
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    q, rmat = np.linalg.qr(check_rows(a, a.shape[-1]).T)
     signs = np.sign(np.diag(rmat))
     signs[signs == 0.0] = 1.0
     return (q * signs).T

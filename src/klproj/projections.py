@@ -42,11 +42,12 @@ from .errors import (
 from .gaussian import (
     GaussianParams,
     KldBreakdown,
-    _check_same_dim,
+    _check_classes,
     _cholesky,
     component_kld,
     g_score,
-    kld_projected,
+    kld,
+    project_params,
 )
 
 # Class means closer than MEANS_RTOL * max(1, |m1|, |m2|) count as equal for
@@ -196,7 +197,7 @@ class _ClassPair(linalg.WhitenedPencil):
     """
 
     def __init__(self, p1: GaussianParams, p2: GaussianParams, pooled_cov: np.ndarray | None = None):
-        _check_same_dim(p1, p2)
+        _check_classes(p1, p2)
         super().__init__(p2.covariance, p1.covariance, p1.factor)
         self.p1, self.p2, self._pooled_cov = p1, p2, pooled_cov
         self.whitened_mean = solve_triangular(self.factor, p2.mean - p1.mean, lower=True,
@@ -420,19 +421,15 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
     common covariance (the average of the supplied covariances), the rows
     are the generalized eigendirections of (S_mu, S) with nonzero
     eigenvalue.  For classes that truly share S, the K-1 such directions
-    preserve every pairwise divergence exactly.  ``achieved_kld`` totals the
-    projected divergence over ordered class pairs; ``component_scores``
+    preserve every pairwise divergence exactly.  ``achieved_kld`` totals kld
+    over ordered pairs of the classes, each projected once; ``component_scores``
     carries the between/within eigenvalues.
 
     Collinear class means leave fewer than the requested number of
     directions: the achievable subspace is returned with a warning, and
     coinciding means (no directions at all) raise RankDeficientMeans.
     """
-    if len(params) < 2:
-        raise DimensionMismatch(f"need at least 2 classes, got {len(params)}")
-    for p in params[1:]:
-        _check_same_dim(params[0], p)
-    r = _check_r(len(params) - 1 if r is None else r, params[0].dim)
+    r = _check_r(len(params) - 1 if r is None else r, _check_classes(*params))
 
     sigma = np.mean([p.covariance for p in params], axis=0)
     means = np.stack([p.mean for p in params])
@@ -453,7 +450,8 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
         )
         r = available
     matrix = linalg.orthonormalize_rows(whitened.unwhiten(whitened.columns(slice(r))).T)
-    achieved = sum(kld_projected(matrix, pi, pj) for pi, pj in permutations(params, 2))
+    projected = [project_params(matrix, p) for p in params]
+    achieved = sum(kld(qi, qj) for qi, qj in permutations(projected, 2))
     return ProjectionResult(
         matrix=matrix,
         frame=FRAME_ORIGINAL,
@@ -525,7 +523,7 @@ def equal_mean_order_check(
     same subspace; spectra straddling 1 can genuinely disagree.  Returns
     (subspace_12, subspace_21, max principal angle), subspaces as rows.
     """
-    r = _check_r(r, _check_same_dim(p1, p2))
+    r = _check_r(r, _check_classes(p1, p2))
     if not _means_equal(p1, p2, rtol=EQUAL_MEANS_CHECK_RTOL):
         raise UnequalMeans("order comparison is defined for coinciding class means")
     pair = _ClassPair(p1, p2)

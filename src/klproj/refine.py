@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import NonPositiveInput
-from .gaussian import GaussianParams, _check_projection, _check_same_dim, kld_projected
-from .linalg import orthonormalize_rows
+from .gaussian import GaussianParams, _check_classes, kld_projected
+from .linalg import check_rows, orthonormalize_rows
 from .projections import FRAME_ORIGINAL, ProjectionResult, _ClassPair, _frame_value
 from .synth import rng_from_seed
 
@@ -74,7 +74,7 @@ def kld_gradient(a, p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
     full-row-rank A (it vanishes at r = d); one pair factorization, O(d^3), per call.
     """
     pair = _ClassPair(p1, p2)
-    w, r = pair.frame_rows(_check_projection(a, p1.dim))
+    w, r = pair.frame_rows(check_rows(a, p1.dim))
     g = _frame_point(w, pair.eigenvalues, pair.eig_mean)[1]
     return solve_triangular(r, (pair.factor @ pair.combine(g.T)).T, check_finite=False)
 
@@ -134,7 +134,7 @@ def gradient_ascent(
     1e-11 max(1, f); "plateau" when no halving of the step gains, or the last
     ``patience`` steps gained at most 1e-9 max(1, f); else "max_iters".
     """
-    a = _check_projection(a0, _check_same_dim(p1, p2))
+    a = check_rows(a0, _check_classes(p1, p2))
     return _ascend(_ClassPair(p1, p2), a, options)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ChannelRankFailure, DimensionMismatch, NonPositiveInput
-from .gaussian import GaussianParams
+from .gaussian import GaussianParams, _check_classes
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -123,9 +123,7 @@ def embed_channel(
     together with H.  By data processing, every divergence downstream of the
     embedding is bounded by the signal-space divergence.
     """
-    if s1.dim != s2.dim:
-        raise DimensionMismatch(f"signal dimensions differ: {s1.dim} vs {s2.dim}")
-    if s1.dim != chan.t:
+    if _check_classes(s1, s2) != chan.t:
         raise DimensionMismatch(f"signal dimension {s1.dim} does not match channel t={chan.t}")
     rng = rng_from_seed(chan.seed)
     h = None

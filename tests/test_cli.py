@@ -385,6 +385,25 @@ class TestMalformedInput:
                     "--scatter", "--out-dir", tmp_path / "ev"])
         self.assert_input_error(code, capsys, mentions=field)
 
+    @pytest.mark.parametrize("error, mutate", [
+        ("NonFiniteInput", lambda m: [[math.nan, *m[0][1:]], m[1]]),
+        ("RankDeficient", lambda m: [m[0], m[0]]),
+        ("DimensionMismatch", lambda m: [row + [0.0] for row in m]),
+    ], ids=["nan-cell", "equal-rows", "one-column-too-many"])
+    def test_scatter_checks_the_rows(self, tmp_path, capsys, error, mutate):
+        out = gen_direct(tmp_path / "g", d=5, n=20, extra=["--n-test", 10])
+        proj = tmp_path / "proj.json"
+        assert run(["fit", "--dataset", out / "dataset.csv", "--r", 2, "--method", "alg1",
+                    "--out", proj]) == 0
+        record = read_json(proj)
+        record["matrix"] = mutate(record["matrix"])
+        record["dim"] = len(record["matrix"][0])
+        proj.write_text(json.dumps(record))  # json.dumps writes NaN as a bare token
+        code = run(["eval", "--projection", proj, "--dataset", out / "dataset.csv",
+                    "--test", out / "test.csv", "--scatter", "--out-dir", tmp_path / "ev"])
+        self.assert_input_error(code, capsys, error=error)
+        assert not (tmp_path / "ev").exists()
+
     def test_resolution_above_bound(self, tmp_path, param_files, capsys):
         proj = tmp_path / "proj.json"
         assert run(["fit", "--params", *param_files, "--r", 2, "--out", proj]) == 0

@@ -208,6 +208,11 @@ class TestPairwisePreservation:
         with pytest.raises(DimensionMismatch):
             pairwise_preservation([random_class_params(3, 0.5, 2.0, 1.0, 641)], np.eye(3))
 
+    def test_classes_of_different_dimensions_rejected(self):
+        params = [random_class_params(d, 0.5, 2.0, 1.0, 650 + d) for d in (3, 4)]
+        with pytest.raises(DimensionMismatch):
+            pairwise_preservation(params, np.eye(3)[:2])
+
 
 class TestPluginClassifier:
     def test_well_separated_classes_classify_cleanly(self):

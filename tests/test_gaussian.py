@@ -1,11 +1,16 @@
 """Divergence formulas, parameter containers, and estimation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+import klproj
 from klproj import (
     GaussianParams,
     LabeledDataset,
@@ -246,6 +251,12 @@ class TestProjection:
         with pytest.raises((DimensionMismatch, RankDeficient)):
             kld_projected(a, p1, p2)
 
+    def test_three_dimensional_projection_rejected(self):
+        p1 = GaussianParams(np.zeros(3), np.eye(3))
+        p2 = GaussianParams(np.ones(3), np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            kld_projected(np.ones((1, 1, 3)), p1, p2)
+
 
 class TestScores:
     def test_g_score_values(self):
@@ -289,7 +300,7 @@ class TestChernoff:
         assert chernoff_information(p1, p2) == pytest.approx(0.125, rel=1e-9)
 
     def test_matches_dense_grid_oracle(self):
-        """Golden-section max agrees with a brute-force 1e-6 grid scan."""
+        """The bounded search's max agrees with a brute-force 1e-6 grid scan."""
         var1, var2, gap = 1.0, 3.0, 1.5
         s = np.arange(1e-6, 1.0, 1e-6)
         mixed = s * var1 + (1.0 - s) * var2
@@ -311,6 +322,14 @@ class TestChernoff:
     def test_identical_classes_give_zero(self):
         p = GaussianParams(np.zeros(3), np.eye(3))
         assert chernoff_information(p, p) == pytest.approx(0.0, abs=1e-12)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        """The bounded search's module loads on the first call, not with the package."""
+        src = Path(klproj.__file__).resolve().parents[1]
+        probe = "import sys, klproj; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.strip() == "False"
 
 
 class TestLogDensity:

@@ -30,7 +30,7 @@ from klproj import (
 )
 from klproj import gaussian, linalg, projections
 from klproj.projections import _ClassPair
-from klproj.synth import ChannelSpec, embed_channel
+from klproj.synth import ChannelSpec, embed_channel, rng_from_seed, sub_seeds
 from klproj.errors import (
     DimensionMismatch,
     EqualMeans,
@@ -304,6 +304,17 @@ class TestMulticlassLda:
     def test_needs_two_classes(self):
         with pytest.raises(DimensionMismatch):
             multiclass_lda([iso([0.0, 0.0])])
+
+    def test_achieved_kld_is_the_pairwise_kld_projected_sum(self):
+        """Bitwise, on the 20 instances of checks.multiclass_pairwise_preservation."""
+        seeds = sub_seeds(105, 120)
+        for i in range(20):
+            sigma = random_spd(SpdSpec(dim=30, eig_min=0.1, eig_max=10.0, seed=seeds[6 * i]))
+            params = [GaussianParams(rng_from_seed(seeds[6 * i + 1 + k]).standard_normal(30), sigma)
+                      for k in range(5)]
+            res = multiclass_lda(params)
+            pairs = [(pi, pj) for pi in params for pj in params if pi is not pj]
+            assert res.achieved_kld == sum(kld_projected(res.matrix, *pair) for pair in pairs)
 
     def test_shared_covariance_preserves_every_pair(self):
         rng = np.random.default_rng(141)

@@ -7,6 +7,7 @@ import pytest
 
 from klproj import (
     AscentOptions,
+    DimensionMismatch,
     GaussianParams,
     NonPositiveInput,
     finite_difference_gradient,
@@ -73,6 +74,12 @@ class TestGradient:
 
 
 class TestAscent:
+    def test_three_dimensional_start_rejected(self):
+        p1 = random_class_params(3, 0.3, 4.0, 1.0, 391)
+        p2 = random_class_params(3, 0.3, 4.0, 1.0, 392)
+        with pytest.raises(DimensionMismatch):
+            gradient_ascent(np.ones((1, 1, 3)), p1, p2)
+
     def test_best_iterate_is_recorded_maximum(self):
         p1 = random_class_params(5, 0.3, 4.0, 1.0, 401)
         p2 = random_class_params(5, 0.3, 4.0, 1.0, 402)
