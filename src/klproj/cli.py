@@ -137,22 +137,31 @@ def cmd_gen(args) -> int:
 
 
 def _load_classes(args) -> tuple[list[GaussianParams], LabeledDataset | None]:
-    """Class parameters from --params files or estimated from --dataset, and the dataset."""
+    """Class parameters from --params files or estimated from --dataset (reversed by
+    --swap, where the command has it), and the dataset."""
     if args.params and args.dataset:
         raise ValueError("pass either --params or --dataset, not both")
     if args.params:
         records = [fileio.read_json(p) for p in args.params]
-        return [fileio.params_from_dict(rec) for rec in records], None
-    if args.dataset:
+        plist, data = [fileio.params_from_dict(rec) for rec in records], None
+    elif args.dataset:
         data = fileio.dataset_from_csv(args.dataset)
-        return [estimate_params(data, int(lab), args.ridge) for lab in data.class_labels], data
-    raise ValueError("one of --params or --dataset is required")
+        plist = [estimate_params(data, int(lab), args.ridge) for lab in data.class_labels]
+    else:
+        raise ValueError("one of --params or --dataset is required")
+    return (plist[::-1] if getattr(args, "swap", False) else plist), data
+
+
+def _load_pair(args) -> tuple[list[GaussianParams], LabeledDataset | None]:
+    """``_load_classes`` for the commands that compare exactly 2 classes."""
+    plist, data = _load_classes(args)
+    if len(plist) != 2:
+        raise ValueError(f"{args.command} compares exactly 2 classes, got {len(plist)}")
+    return plist, data
 
 
 def cmd_fit(args) -> int:
-    plist, data = _load_classes(args)
-    if args.swap:
-        plist = plist[::-1]
+    plist, data = (_load_classes if args.method == "mclda" else _load_pair)(args)
     config = _config(args)
     extras: dict = {}
 
@@ -162,8 +171,6 @@ def cmd_fit(args) -> int:
         result = multiclass_lda(plist, r=args.r)
         extras["pairwise_preservation"] = pairwise_preservation(plist, result.matrix).tolist()
     else:
-        if len(plist) != 2:
-            raise ValueError(f"method {args.method!r} uses exactly 2 classes, got {len(plist)}")
         if args.r is None:
             raise ValueError(f"--r is required for method {args.method!r}")
         if args.method == "lda" and args.r != 1:
@@ -207,10 +214,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out_dir)
     writes = []  # (writer, arguments): the directory is made once every artifact is computed
     projections = [fileio.projection_from_dict(fileio.read_json(f)) for f in args.projection]
-    plist, _ = _load_classes(args)
-    if len(plist) != 2:
-        raise ValueError(f"evaluation compares exactly 2 classes, got {len(plist)}")
-    p1, p2 = plist
+    (p1, p2), _ = _load_pair(args)
     config = _config(args)
 
     if args.sweep_r:
@@ -226,23 +230,11 @@ def cmd_eval(args) -> int:
             raise ValueError("--classify needs --train and --test datasets")
         train = fileio.dataset_from_csv(args.train)
         test = fileio.dataset_from_csv(args.test)
-        records = [
-            {
-                "method": "full",
-                "r": train.dim,
-                "accuracy": plugin_classifier_train(train, np.eye(train.dim)).score(test),
-            }
-        ]
-        for fname, proj in zip(args.projection, projections):
-            model = plugin_classifier_train(train, proj.in_original_frame())
-            records.append(
-                {
-                    "file": Path(fname).name,
-                    "method": proj.method,
-                    "r": proj.r,
-                    "accuracy": model.score(test),
-                }
-            )
+        full = plugin_classifier_train(train, np.eye(train.dim)).score(test)
+        records = [{"method": "full", "r": train.dim, "accuracy": full}]
+        records += [{"file": Path(fname).name, "method": proj.method, "r": proj.r,
+                     "accuracy": plugin_classifier_train(train, proj.in_original_frame()).score(test)}
+                    for fname, proj in zip(args.projection, projections)]
         record = {"kind": "classification", "results": records, "config": config}
         writes.append((_write_json, (out / "classification.json", record)))
 
@@ -305,11 +297,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_regime(args) -> int:
-    plist, _ = _load_classes(args)
-    if args.swap:
-        plist = plist[::-1]
-    if len(plist) != 2:
-        raise ValueError(f"regime analysis compares exactly 2 classes, got {len(plist)}")
+    plist, _ = _load_pair(args)
     config = _config(args)
     record = {"kind": "regime", **asdict(select_regime(*plist, args.r)), "config": config}
     if args.out:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import blas, cho_solve, solve_triangular
 
 from . import linalg
 from .errors import (
@@ -73,17 +73,18 @@ class GaussianParams:
             # the kept array first: the scratch, freed on return, then leaves no hole below it
             sym = (cov + cov.T) / 2.0  # numpy halves the fresh sum in place (temporary elision)
             scratch = cov - cov.T  # the one d x d temporary, reused by the certificate
-            asym, size = np.linalg.norm(scratch), np.linalg.norm(cov)
+            # BLAS nrm2 scales its sum of squares: tiny entries keep the test relative
+            asym, size = blas.dnrm2(scratch.ravel()), blas.dnrm2(cov.ravel(order="K"))
         certified, name = sym, "covariance"
-        if not np.isfinite(size):
-            # the squares overflowed: take both norms of a copy scaled to max |C| = 1
+        if not np.isfinite(2.0 * size):
+            # C + C^T may have overflowed: take both norms of a copy scaled to max |C| = 1
             scale = np.abs(cov).max()
             unit = cov / scale
             asym, size = np.linalg.norm(unit - unit.T), np.linalg.norm(unit)
             if not np.all(np.isfinite(sym)):  # so did the sum: halve first, certify at max |C| = 1,
-                sym = cov / 2.0 + cov.T / 2.0  # where the SPD rule's floor is still relative
+                sym = cov / 2.0 + cov.T / 2.0  # where the certificate's |C|_F is finite
                 certified, name = sym / scale, "covariance / max |covariance|"
-        if asym > linalg.SYM_RTOL * max(size, 1e-300):
+        if asym > linalg.SYM_RTOL * size:
             raise NotPositiveDefinite(
                 f"covariance is not symmetric (relative asymmetry {asym / size:.3e})"
             )

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite, RankDeficient
 
-# Relative floor (times max(1, largest eigenvalue)) under which a symmetric
-# matrix is rejected as not positive definite.
+# Relative floor (times the largest eigenvalue) under which a symmetric matrix
+# is rejected as not positive definite: a unit-free rule, as KL divergence is.
 SPD_RTOL = 1e-10
 
 # Singular values below RANK_RTOL * sigma_max do not count toward numerical rank.
@@ -126,7 +126,7 @@ def _descending(w: np.ndarray, v: np.ndarray) -> SymEigen:
 
 
 def _reject_unless_spd(lo: float, hi: float, name: str) -> None:
-    if lo <= SPD_RTOL * max(1.0, hi):
+    if lo <= SPD_RTOL * hi:
         raise NotPositiveDefinite(
             f"{name} is not positive definite: smallest eigenvalue {lo:.6e} "
             f"(largest {hi:.6e})"
@@ -137,8 +137,9 @@ def spd_eigenvalues(m, name: str = "matrix") -> SymEigen:
     """Eigendecomposition of ``m`` after checking it is SPD.
 
     Rejects (rather than regularizes) matrices whose smallest eigenvalue is
-    at or below SPD_RTOL * max(1, largest eigenvalue), reporting the
-    offending eigenvalue.
+    at or below SPD_RTOL * largest eigenvalue, reporting the offending
+    eigenvalue.  The rule reads only their ratio, so a matrix and any
+    positive multiple of it get one decision.
     """
     e = sym_eig(m)
     _reject_unless_spd(e.eigenvalues[-1], e.eigenvalues[0], name)
@@ -169,15 +170,16 @@ def cholesky(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
 def certify_spd(m: np.ndarray, name: str = "matrix", scratch: np.ndarray | None = None) -> None:
     """assert_spd's decision for a symmetric ``m``, from one Cholesky when possible.
 
-    hi = |m|_F bounds the largest eigenvalue.  If m - 2 SPD_RTOL max(1, hi) I
+    hi = |m|_F (BLAS nrm2, which scales its sum of squares: no underflow at any
+    scale) bounds the largest eigenvalue.  If m - 2 SPD_RTOL hi I
     has a Cholesky factor, the smallest eigenvalue clears assert_spd's floor
     by far more than rounding: accept.  Otherwise assert_spd decides, with
     its message.  The shifted copy is factored in place, in ``scratch`` if given.
     """
-    hi = np.sqrt(np.vdot(m, m))
+    hi = blas.dnrm2(m.ravel())
     shifted = np.empty_like(m) if scratch is None else scratch
     shifted[...] = m
-    shifted.flat[:: m.shape[0] + 1] -= 2.0 * SPD_RTOL * max(1.0, hi)
+    shifted.flat[:: m.shape[0] + 1] -= 2.0 * SPD_RTOL * hi
     try:
         cholesky(shifted, overwrite=True)
     except np.linalg.LinAlgError:

@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     EqualMeans,
     IdenticalDistributions,
+    NotPositiveDefinite,
     RankDeficientMeans,
     UnequalMeans,
 )
@@ -50,17 +51,10 @@ from .gaussian import (
     project_params,
 )
 
-# Class means closer than MEANS_RTOL * max(1, |m1|, |m2|) count as equal for
-# the constructions that treat the mean direction specially.
-MEANS_RTOL = 1e-12
-
-# Looser equality used by the order-invariance diagnostic, which only makes
-# sense when the means genuinely coincide.
-EQUAL_MEANS_CHECK_RTOL = 1e-10
-
 # Consecutive whitened eigenvalues lambda_i >= lambda_i+1 within
-# _CLUSTER_RTOL * max(1, lambda_i) form a cluster, one repeated eigenvalue (see
-# _ClassPair); scaled by lambda_i, so a large lambda_max merges no small ones.
+# _CLUSTER_RTOL * lambda_i form a cluster, one repeated eigenvalue (see
+# _ClassPair): relative to lambda_i, so neither a large lambda_max nor a small
+# scale of the whole spectrum merges distinct eigenvalues.
 _CLUSTER_RTOL = 1e-10
 
 # alg2 replaces alg1 only by retaining more than (1 + _TIE_RTOL) times its value:
@@ -133,11 +127,6 @@ def _check_r(r: int, d: int) -> int:
     return r
 
 
-def _means_equal(p1: GaussianParams, p2: GaussianParams, rtol: float = MEANS_RTOL) -> bool:
-    scale = max(1.0, np.linalg.norm(p1.mean), np.linalg.norm(p2.mean))
-    return np.linalg.norm(p2.mean - p1.mean) <= rtol * scale
-
-
 def _ranked(scores: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Indices sorted by score descending; ties prefer larger |lam - 1|, then lower index."""
     idx = np.arange(lam.size)
@@ -185,6 +174,10 @@ class _ClassPair(linalg.WhitenedPencil):
     columns of U they select, formed on demand from U's kept reflectors.  A
     pair lives only as long as the call that built it.
 
+    ``means_equal``, the one equal-means fact, holds when the Mahalanobis offset
+    |whitened_mean| is below 1e-12: unit-free and affine-invariant, as KL is.
+    A lambda that rounds to <= 0 is refused with NotPositiveDefinite.
+
     A repeated eigenvalue has no unique eigenbasis.  A cluster whose mean
     share |m_c| exceeds _CLUSTER_RTOL |m| takes its mean eigenvalue (exactly
     1 when that is 1 within the tolerance), and one Householder reflector
@@ -199,13 +192,18 @@ class _ClassPair(linalg.WhitenedPencil):
     def __init__(self, p1: GaussianParams, p2: GaussianParams, pooled_cov: np.ndarray | None = None):
         _check_classes(p1, p2)
         super().__init__(p2.covariance, p1.covariance, p1.factor)
+        if self.eigenvalues[-1] <= 0.0:
+            raise NotPositiveDefinite(
+                "whitened class-2 covariance L^-1 S2 L^-T is not positive definite: smallest "
+                f"eigenvalue {self.eigenvalues[-1]:.6e} (largest {self.eigenvalues[0]:.6e})")
         self.p1, self.p2, self._pooled_cov = p1, p2, pooled_cov
         self.whitened_mean = solve_triangular(self.factor, p2.mean - p1.mean, lower=True,
                                               check_finite=False)
+        self.means_equal = bool(np.linalg.norm(self.whitened_mean) < 1e-12)
         # m = U^T whitened_mean: the mean offset along each whitened eigendirection
         self.eig_mean = self.coords(self.whitened_mean)
         lam, m = self.eigenvalues, self.eig_mean
-        apart = lam[:-1] - lam[1:] > _CLUSTER_RTOL * np.maximum(1.0, lam[:-1])
+        apart = lam[:-1] - lam[1:] > _CLUSTER_RTOL * lam[:-1]
         cuts, floor = [0, *np.flatnonzero(apart) + 1, lam.size], _CLUSTER_RTOL * np.linalg.norm(m)
         for s, e in zip(cuts[:-1], cuts[1:]):
             share = np.linalg.norm(m[s:e])
@@ -273,18 +271,25 @@ def lda_direction(p1: GaussianParams, p2: GaussianParams) -> ProjectionResult:
     With equal covariances this single direction retains the full divergence;
     in general it is the classical linear baseline.  Requires distinct means.
     Its value is read in the eigenframe of a pair factored for this call
-    (``_ClassPair.value``; sweep_r and ``klproj fit`` share theirs).
+    (``_ClassPair.value``; sweep_r and ``klproj fit`` share theirs), after
+    the cheaper factor of the pooled covariance.
     """
-    return _lda(_ClassPair(p1, p2), 1)
+    pooled = _pooled_factor(p1, p2)
+    return _lda(_ClassPair(p1, p2), 1, pooled)
 
 
-def _lda(pair: _ClassPair, r: int) -> ProjectionResult:
-    """lda's one row; r is 1 (sweep_r skips, and ``klproj fit`` refuses, other ranks)."""
+def _pooled_factor(p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
+    return _cholesky((p1.covariance + p2.covariance) / 2.0, "pooled covariance")
+
+
+def _lda(pair: _ClassPair, r: int, pooled: np.ndarray | None = None) -> ProjectionResult:
+    """lda's one row (sweep_r skips, and ``klproj fit`` refuses, r > 1), from ``pooled``,
+    the pooled covariance's Cholesky factor, when the caller holds it."""
     p1, p2 = pair.p1, pair.p2
-    if _means_equal(p1, p2):
+    if pair.means_equal:
         raise EqualMeans("class means coincide; the discriminant direction is undefined")
-    w = cho_solve((_cholesky((p1.covariance + p2.covariance) / 2.0, "pooled covariance"), True),
-                  p2.mean - p1.mean)
+    pooled = _pooled_factor(p1, p2) if pooled is None else pooled
+    w = cho_solve((pooled, True), p2.mean - p1.mean)
     row = (w / np.linalg.norm(w))[None, :]
     return ProjectionResult(matrix=row, frame=FRAME_ORIGINAL, method="lda", achieved_kld=pair.value(row))
 
@@ -311,7 +316,7 @@ def _mean_first(pair: _ClassPair, r: int) -> ProjectionResult:
     lam, m = pair.eigenvalues, pair.eig_mean
     scores = g_score(lam)
     order, rows, rest, warnings = _ranked(scores, lam), [], 0.0, ()
-    if _means_equal(pair.p1, pair.p2):
+    if pair.means_equal:
         axes, warnings = order[:r], ("class means coincide; the discriminant row is undefined and "
                                      "was replaced by the next covariance-contrast direction",)
     else:
@@ -343,8 +348,8 @@ def whitened_component_projection(p1: GaussianParams, p2: GaussianParams, r: int
     A repeated eigenvalue (S2 = c S1, S2 = S1) leaves U free within its
     cluster; the pair puts the cluster's whole mean share on one vector
     (_ClassPair, ``_CLUSTER_RTOL``), so the r largest scores are optimal
-    there too.  A spectrum within 1e-8 * d of 1 with a mean offset below
-    1e-12 means numerically identical classes: IdenticalDistributions.
+    there too.  A spectrum within 1e-8 * d of 1 with equal means (the pair's
+    ``means_equal``) means numerically identical classes: IdenticalDistributions.
     """
     return _whitened_component(_ClassPair(p1, p2), r)
 
@@ -352,7 +357,7 @@ def whitened_component_projection(p1: GaussianParams, p2: GaussianParams, r: int
 def _whitened_component(pair: _ClassPair, r: int) -> ProjectionResult:
     lam, d = pair.eigenvalues, pair.p1.dim
     r = _check_r(r, d)
-    if np.linalg.norm(lam - 1.0) < 1e-8 * d and np.linalg.norm(pair.whitened_mean) < 1e-12:
+    if pair.means_equal and np.linalg.norm(lam - 1.0) < 1e-8 * d:
         raise IdenticalDistributions("classes are numerically indistinguishable after whitening")
     scores = component_kld(pair.eig_mean, lam)
     sel = _ranked(scores, lam)[:r]
@@ -489,7 +494,7 @@ def _lol(pair: _ClassPair, r: int) -> ProjectionResult:
     r = _check_r(r, p1.dim)
     delta, order, rows, warnings = p2.mean - p1.mean, np.arange(p1.dim), [], ()
     basis = pair.pooled.eigenvectors
-    if _means_equal(p1, p2):
+    if pair.means_equal:
         axes, warnings = order[:r], ("class means coincide; using principal directions of the "
                                      "pooled covariance only",)
     else:
@@ -522,11 +527,12 @@ def equal_mean_order_check(
     of 1 (e.g. S2 = S1 + positive semidefinite) the two orders select the
     same subspace; spectra straddling 1 can genuinely disagree.  Returns
     (subspace_12, subspace_21, max principal angle), subspaces as rows.
+    Means that are not equal by the pair's ``means_equal`` raise UnequalMeans.
     """
-    r = _check_r(r, _check_classes(p1, p2))
-    if not _means_equal(p1, p2, rtol=EQUAL_MEANS_CHECK_RTOL):
-        raise UnequalMeans("order comparison is defined for coinciding class means")
     pair = _ClassPair(p1, p2)
+    r = _check_r(r, p1.dim)
+    if not pair.means_equal:
+        raise UnequalMeans("order comparison is defined for coinciding class means")
 
     def top_subspace(lam: np.ndarray) -> np.ndarray:
         sel = _ranked(g_score(lam), lam)[:r]

@@ -13,11 +13,13 @@ import scipy.linalg
 
 from klproj import (
     GaussianParams,
+    LabeledDataset,
     ProjectionResult,
     SpdSpec,
     component_kld,
     fit_auto,
     kld,
+    kld_projected,
     kld_split,
     orthonormalize_rows,
     random_class_params,
@@ -30,6 +32,7 @@ from klproj.cli import main
 from klproj.evaluate import MAX_RESOLUTION
 from klproj.fileio import (
     dataset_from_csv,
+    dataset_to_csv,
     params_from_dict,
     params_to_dict,
     projection_from_dict,
@@ -337,6 +340,55 @@ class TestFit:
         assert sytrds.count((40, 40)) == 1
         assert 40 not in pieces
 
+    def test_small_whitened_spectrum_keeps_every_eigenvalue(self, tmp_path):
+        # whitened eigenvalues 1e-12 .. 1e-11, 2.25e-12 apart: distinct relative to
+        # lambda_i, though an absolute 1e-10 gap would merge all five into their mean
+        p1 = GaussianParams(np.zeros(5), 1e3 * np.eye(5))
+        p2 = GaussianParams(np.full(5, 1e-3), np.diag(np.linspace(1e-9, 1e-8, 5)))
+        files = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, p in zip(files, (p1, p2)):
+            write_json(path, params_to_dict(p))
+        records = {}
+        for r in (5, 3):
+            assert run(["fit", "--params", *files, "--method", "alg2", "--r", r,
+                        "--out", tmp_path / f"r{r}.json"]) == 0
+            records[r] = read_json(tmp_path / f"r{r}.json")
+        full = kld(p1, p2)
+        assert records[5]["achieved_kld"] == pytest.approx(full, rel=1e-12)
+        assert records[5]["full_kld"] == pytest.approx(full, rel=1e-12)
+        rows = projection_from_dict(records[3]).in_original_frame()
+        assert records[3]["achieved_kld"] == pytest.approx(kld_projected(rows, p1, p2), rel=1e-9)
+
+    def test_dataset_units_do_not_change_the_fit(self, tmp_path):
+        # in 1e-6 units the class covariances' eigenvalues span 8e-13 .. 6e-11 (condition 67)
+        out = tmp_path / "g"
+        assert run(["gen", "--d", 10, "--t", 3, "--n", 500, "--seed", 0, "--out-dir", out]) == 0
+        data = dataset_from_csv(out / "dataset.csv")
+        dataset_to_csv(tmp_path / "micro.csv", LabeledDataset(data.samples * 1e-6, data.labels))
+        kept = []
+        for source in (out / "dataset.csv", tmp_path / "micro.csv"):
+            assert run(["fit", "--dataset", source, "--method", "alg2", "--r", 2,
+                        "--out", tmp_path / "x.json"]) == 0
+            kept.append(read_json(tmp_path / "x.json")["achieved_kld"])
+        assert kept[1] == pytest.approx(kept[0], rel=1e-10)
+
+    @pytest.mark.parametrize("method", ["alg1", "alg2", "lda"])
+    def test_nonpositive_whitened_spectrum_fails_numerically(self, tmp_path, capsys, method):
+        # 12 samples per class in d=30: each ridge-1e-8 estimate passes validation, but the
+        # pencil's smallest eigenvalue rounds below 0
+        out = gen_direct(tmp_path / "g", seed=0, d=30, n=12)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["fit", "--dataset", out / "dataset.csv", "--ridge", 1e-8, "--r", 1,
+                        "--method", method, "--out", tmp_path / "x.json"])
+        assert not caught
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "NotPositiveDefinite"
+        assert "whitened class-2 covariance" in err["message"]
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestMalformedInput:
     """Malformed files exit 2 with one JSON error line, never a traceback."""
@@ -524,6 +576,28 @@ class TestMalformedInput:
                         "--train", out / "dataset.csv", "--test", big, "--out-dir", tmp_path / "ev"])
         self.assert_input_error(code, capsys, mentions="overflows", error="NonFiniteInput")
         assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "eval", "regime"])
+    def test_pair_commands_refuse_three_classes(self, tmp_path, capsys, command):
+        out = tmp_path / "g"
+        assert run(["gen", "--d", 3, "--classes", 3, "--seed", 1, "--out-dir", out]) == 0
+        params = [out / f"params_class{i}.json" for i in (1, 2, 3)]
+        proj = tmp_path / "proj.json"
+        assert run(["fit", "--params", *params[:2], "--r", 1, "--out", proj]) == 0
+        capsys.readouterr()
+        argv = {"fit": ["fit", "--params", *params, "--method", "alg2", "--r", 1,
+                        "--out", tmp_path / "x.json"],
+                "eval": ["eval", "--projection", proj, "--params", *params, "--sweep-r", "1..2",
+                         "--out-dir", tmp_path / "ev"],
+                "regime": ["regime", "--params", *params, "--r", 1]}[command]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InvalidArguments" and "exactly 2 classes" in err["message"]
+        assert not (tmp_path / "x.json").exists() and not (tmp_path / "ev").exists()
 
     def test_regime_r_above_d(self, tmp_path, capsys):
         out = gen_direct(tmp_path / "g", seed=1, d=6)

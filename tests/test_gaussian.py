@@ -76,6 +76,11 @@ class TestGaussianParams:
             with pytest.raises(NotPositiveDefinite, match="smallest eigenvalue 1.0+e-308"):
                 GaussianParams(np.zeros(2), np.diag([1e308, 1.0]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-200, 1e-300])
+    def test_asymmetry_is_relative_at_any_scale(self, scale):
+        with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+            GaussianParams(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]) * scale)
+
     def test_symmetrizes_roundoff_asymmetry(self):
         cov = np.array([[2.0, 0.3], [0.3 + 1e-13, 1.0]])
         p = GaussianParams(np.zeros(2), cov)
@@ -121,7 +126,7 @@ class TestValidationDecision:
     @pytest.mark.parametrize("largest", [0.5, 20.0])
     def test_rotated_spectra_around_the_floor(self, d, largest):
         rng = np.random.default_rng(1000 + d)
-        floor = SPD_RTOL * max(1.0, largest)
+        floor = SPD_RTOL * largest
         decisions = []
         for factor in (0.5, 1.0, 1.001, 2.0, 3.0, 50.0, 1e3):
             lam = np.concatenate([[largest], rng.uniform(0.1, 1.0, d - 2) * largest,
@@ -145,9 +150,16 @@ class TestValidationDecision:
         for cov in (rotated(rng, np.array([3.0, 1.0, -0.5, 2.0])), np.outer(v, v)):
             assert "smallest eigenvalue" in self.assert_same_decision(cov)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200])
+    def test_floor_stays_relative_where_squares_underflow(self, scale):
+        rng = np.random.default_rng(9)
+        for cond, accepted in ((1e3, True), (1e12, False)):
+            lam = np.geomspace(1.0, 1.0 / cond, 5)
+            assert (self.assert_same_decision(rotated(rng, lam) * scale) is None) is accepted
+
     @pytest.mark.parametrize("largest", [0.5, 4.0])
     def test_boundary_of_the_relative_floor(self, largest):
-        floor = SPD_RTOL * max(1.0, largest)
+        floor = SPD_RTOL * largest
         GaussianParams(np.zeros(2), np.diag([largest, np.nextafter(floor, 1.0)]))
         with pytest.raises(NotPositiveDefinite, match="smallest eigenvalue"):
             GaussianParams(np.zeros(2), np.diag([largest, floor]))

@@ -782,3 +782,47 @@ class TestRepeatedEigenvalues:
         plain = linalg.WhitenedPencil(p2.covariance, p1.covariance, p1.factor)
         assert np.array_equal(pair.eigenvalues, plain.eigenvalues)
         assert np.array_equal(pair.columns(slice(None)), plain.columns(slice(None)))
+
+    def test_small_whitened_spectrum_merges_no_distinct_eigenvalues(self):
+        # whitened spectrum 1e-12 .. 1e-11: the gaps are 0.2 to 0.7 of lambda_i
+        p1 = GaussianParams(np.zeros(5), 1e3 * np.eye(5))
+        p2 = GaussianParams(np.full(5, 1e-3), np.diag(np.linspace(1e-9, 1e-8, 5)))
+        np.testing.assert_allclose(_ClassPair(p1, p2).eigenvalues,
+                                   np.linspace(1e-8, 1e-9, 5) / 1e3, rtol=1e-12)
+
+
+def shifted_means_pair(shift):
+    # d=3, covariances 1e-9 I, means 3e-5 e1 apart: a Mahalanobis offset of 0.95
+    base = np.full(3, shift)
+    return (GaussianParams(base, 1e-9 * np.eye(3)),
+            GaussianParams(base + np.array([3e-5, 0.0, 0.0]), 1e-9 * np.eye(3)))
+
+
+class TestEqualMeansInMahalanobisUnits:
+    """Equal means are one fact of the pair: its whitened offset below 1e-12."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1e8])
+    def test_distinct_means_far_from_the_origin(self, shift):
+        p1, p2 = shifted_means_pair(shift)
+        full = kld(p1, p2)
+        assert full == pytest.approx(0.45, rel=1e-3)
+        for res in (mean_first_projection(p1, p2, 2), lol_projection(p1, p2, 2),
+                    lda_direction(p1, p2)):
+            assert res.warnings == ()
+            assert res.achieved_kld == pytest.approx(full, rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_decided_on_the_whitened_offset_at_any_unit(self, scale):
+        # offsets of 1e-13 and 1e-11 common standard deviations, means 5 deviations out
+        for offset, equal in ((1e-13, True), (1e-11, False)):
+            p1 = GaussianParams(np.array([5.0, 0.0]) * scale, scale**2 * np.eye(2))
+            p2 = GaussianParams(np.array([5.0 + offset, 0.0]) * scale, scale**2 * np.diag([1.0, 4.0]))
+            assert _ClassPair(p1, p2).means_equal is equal
+            assert bool(mean_first_projection(p1, p2, 1).warnings) is equal
+            if equal:
+                equal_mean_order_check(p1, p2, 1)
+                with pytest.raises(EqualMeans):
+                    lda_direction(p1, p2)
+            else:
+                with pytest.raises(UnequalMeans):
+                    equal_mean_order_check(p1, p2, 1)
