@@ -24,6 +24,9 @@ from .projections import FRAME_ORIGINAL, FRAME_WHITENED, ProjectionResult
 # CSV cell format per numpy dtype kind; %.17g round-trips float64 bit-exactly.
 _CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
 
+# Cells of write_csv's staging buffer.
+_CSV_CELLS = 1 << 16
+
 
 def _plain(obj):
     if isinstance(obj, (np.ndarray, np.generic)):
@@ -68,21 +71,26 @@ def write_csv(path, header: list, columns) -> None:
     """Write a table given as equal-length columns, one per header name.
 
     A column's dtype picks its cell format: floats %.17g, integers %d and
-    strings %s.  A table without strings is formatted from a float64 array,
+    strings %s.  A table without strings is formatted from a float64 buffer,
     so its integer cells must stay below 2**53 in magnitude.  The bytes are
-    np.savetxt's, formatted in blocks of about 256 cells per ``%``.
+    np.savetxt's: the columns fill one reused buffer of about _CSV_CELLS
+    cells at a time, never an n x k table, formatted in blocks of about 256
+    cells per ``%``.
     """
     columns = [np.asarray(column) for column in columns]
     fmt = [_CSV_FORMATS[column.dtype.kind] for column in columns]
-    table = np.empty((len(columns[0]), len(columns)), dtype=object if "%s" in fmt else float)
-    for j, column in enumerate(columns):
-        table[:, j] = column
-    row, size = ",".join(fmt), max(1, 256 // len(fmt))
+    n, row, size = len(columns[0]), ",".join(fmt), max(1, 256 // len(fmt))
+    rows = size * max(1, _CSV_CELLS // (size * len(fmt)))  # whole format blocks
+    buffer = np.empty((min(n, rows), len(fmt)), dtype=object if "%s" in fmt else float)
     with _atomic_handle(path) as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, len(table), size):
-            block = table[start:start + size]
-            handle.write(("\n".join([row] * len(block)) + "\n") % tuple(block.ravel().tolist()))
+        for start in range(0, n, rows):
+            filled = buffer[:min(rows, n - start)]
+            for j, column in enumerate(columns):
+                filled[:, j] = column[start:start + rows]
+            for at in range(0, len(filled), size):
+                block = filled[at:at + size]
+                handle.write(("\n".join([row] * len(block)) + "\n") % tuple(block.ravel().tolist()))
 
 
 def read_csv(path) -> tuple[list, np.ndarray]:

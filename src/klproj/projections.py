@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import permutations
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, solve_triangular
+from scipy.linalg import blas, solve_triangular
 
 from . import linalg
 from .errors import (
@@ -44,7 +44,6 @@ from .gaussian import (
     GaussianParams,
     KldBreakdown,
     _check_classes,
-    _cholesky,
     component_kld,
     g_score,
     kld,
@@ -270,28 +269,26 @@ def lda_direction(p1: GaussianParams, p2: GaussianParams) -> ProjectionResult:
 
     With equal covariances this single direction retains the full divergence;
     in general it is the classical linear baseline.  Requires distinct means.
-    Its value is read in the eigenframe of a pair factored for this call
-    (``_ClassPair.value``; sweep_r and ``klproj fit`` share theirs), after
-    the cheaper factor of the pooled covariance.
+    Row and value are read off a pair factored for this call (``_lda``;
+    sweep_r and ``klproj fit`` share theirs).
     """
-    pooled = _pooled_factor(p1, p2)
-    return _lda(_ClassPair(p1, p2), 1, pooled)
+    return _lda(_ClassPair(p1, p2), 1)
 
 
-def _pooled_factor(p1: GaussianParams, p2: GaussianParams) -> np.ndarray:
-    return _cholesky((p1.covariance + p2.covariance) / 2.0, "pooled covariance")
+def _lda(pair: _ClassPair, r: int) -> ProjectionResult:
+    """lda's one row (sweep_r skips, and ``klproj fit`` refuses, r > 1), off the pair.
 
-
-def _lda(pair: _ClassPair, r: int, pooled: np.ndarray | None = None) -> ProjectionResult:
-    """lda's one row (sweep_r skips, and ``klproj fit`` refuses, r > 1), from ``pooled``,
-    the pooled covariance's Cholesky factor, when the caller holds it."""
-    p1, p2 = pair.p1, pair.p2
+    (S1 + S2)/2 = L U diag((1 + lambda)/2) U^T L^T, so the row is L^-T U c with
+    c = m / (1 + lambda); in the eigenframe it is c, and its value is
+    component_kld(w . m, w^T diag(lambda) w), w = c / |c|.
+    """
     if pair.means_equal:
         raise EqualMeans("class means coincide; the discriminant direction is undefined")
-    pooled = _pooled_factor(p1, p2) if pooled is None else pooled
-    w = cho_solve((pooled, True), p2.mean - p1.mean)
-    row = (w / np.linalg.norm(w))[None, :]
-    return ProjectionResult(matrix=row, frame=FRAME_ORIGINAL, method="lda", achieved_kld=pair.value(row))
+    lam, m = pair.eigenvalues, pair.eig_mean
+    c = m / (1.0 + lam)
+    row, w = pair.unwhiten(pair.combine(c)), c / np.linalg.norm(c)
+    return ProjectionResult(matrix=(row / np.linalg.norm(row))[None, :], frame=FRAME_ORIGINAL,
+                            method="lda", achieved_kld=component_kld(w @ m, w**2 @ lam))
 
 
 def mean_first_projection(p1: GaussianParams, p2: GaussianParams, r: int) -> ProjectionResult:

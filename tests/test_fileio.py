@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from klproj import GaussianParams, LabeledDataset, random_class_params, sample
+from klproj import GaussianParams, LabeledDataset, fileio, random_class_params, sample
 from klproj import mean_first_projection, whitened_component_projection
 from klproj.errors import DimensionMismatch
 from klproj.fileio import (
@@ -166,6 +166,16 @@ class TestCsv:
         expect = io.BytesIO()
         np.savetxt(expect, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
         assert path.read_bytes() == expect.getvalue()
+
+    @pytest.mark.parametrize("kind", ["f", "U"])
+    def test_buffer_refills_keep_the_bytes(self, tmp_path, monkeypatch, kind):
+        # 1500 rows of 3 cells refill an 85-row buffer 18 times, the last one in part
+        columns = [np.resize(_hard_floats(3), 1500), np.arange(1500) % 20 + 1,
+                   np.repeat(["alg1", "lol"], 750) if kind == "U" else np.resize(_hard_floats(4), 1500)]
+        write_csv(tmp_path / "whole.csv", ["a", "b", "c"], columns)
+        monkeypatch.setattr(fileio, "_CSV_CELLS", 99)
+        write_csv(tmp_path / "refilled.csv", ["a", "b", "c"], columns)
+        assert (tmp_path / "refilled.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 class TestParamsRecord:

@@ -324,6 +324,30 @@ class TestChernoff:
         p2 = GaussianParams(np.array([gap]), np.array([[var2]]))
         assert chernoff_information(p1, p2) == pytest.approx(float(exponent.max()), abs=1e-9)
 
+    @pytest.mark.parametrize("d", [2, 5, 10])
+    def test_matches_the_mixture_cholesky_search(self, d):
+        """Reference: the same bounded search over the exponent from Ss's own Cholesky."""
+        from scipy.linalg import cho_factor, cho_solve
+        from scipy.optimize import minimize_scalar
+
+        def logdet(cov):
+            return 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(cov)))))
+
+        rng = np.random.default_rng(59 + d)
+        for _ in range(3):
+            p1, p2 = rand_pair(rng, d, spread=5.0)
+            delta = p2.mean - p1.mean
+
+            def exponent(s):
+                mix = s * p1.covariance + (1.0 - s) * p2.covariance
+                quad = float(delta @ cho_solve(cho_factor(mix, lower=True), delta))
+                return 0.5 * (s * (1.0 - s) * quad + logdet(mix) - s * logdet(p1.covariance)
+                              - (1.0 - s) * logdet(p2.covariance))
+
+            best = minimize_scalar(lambda s: -exponent(s), bounds=(0.0, 1.0), method="bounded",
+                                   options={"xatol": 1e-10})
+            assert chernoff_information(p1, p2) == pytest.approx(-best.fun, rel=1e-10)
+
     def test_symmetric(self):
         rng = np.random.default_rng(53)
         p1, p2 = rand_pair(rng, 4)

@@ -72,7 +72,7 @@ class TestSpdGuards:
 
     @pytest.mark.parametrize("largest", [0.5, 4.0])
     def test_boundary_of_the_relative_floor(self, largest):
-        # floor is SPD_RTOL * max(1, largest eigenvalue); at it is rejected
+        # floor is SPD_RTOL * largest eigenvalue; at it is rejected
         floor = SPD_RTOL * largest
         assert_spd(np.diag([largest, np.nextafter(floor, 1.0)]))
         with pytest.raises(NotPositiveDefinite, match="smallest eigenvalue"):

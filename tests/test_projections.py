@@ -73,14 +73,27 @@ class TestLdaDirection:
             res = lda_direction(p1, p2)
             assert res.achieved_kld == pytest.approx(kld(p1, p2), rel=1e-10)
 
+    @pytest.mark.parametrize("d", [3, 20, 100])
+    def test_matches_the_pooled_covariance_solve(self, d):
+        # reference: the pooled covariance's own Cholesky solve of m2 - m1
+        for seed in range(3):
+            p1, p2 = (random_class_params(d, 0.3, 5.0, 1.0, 7000 + 10 * d + 2 * seed + k)
+                      for k in (0, 1))
+            pooled = scipy.linalg.cho_factor((p1.covariance + p2.covariance) / 2.0)
+            w = scipy.linalg.cho_solve(pooled, p2.mean - p1.mean)
+            w = w / np.linalg.norm(w)
+            res = lda_direction(p1, p2)
+            np.testing.assert_allclose(res.matrix[0], w, rtol=0, atol=1e-12)
+            assert res.achieved_kld == pytest.approx(kld_projected(w[None, :], p1, p2), rel=1e-12)
+
     def test_indefinite_pooled_covariance_is_not_positive_definite(self):
         # classes built around validation: each keeps the factor of I it cached
-        # first, so the pair factors, but the pooled covariance has no factor
+        # first, so the pair factors, but its whitened class-2 covariance is indefinite
         p1, p2 = iso([0.0, 0.0]), iso([1.0, 0.0])
         for p in (p1, p2):
             p.factor
             object.__setattr__(p, "covariance", np.diag([1.0, -1.0]))
-        with pytest.raises(NotPositiveDefinite, match="pooled covariance"):
+        with pytest.raises(NotPositiveDefinite, match="whitened class-2 covariance"):
             lda_direction(p1, p2)
 
 
