@@ -18,7 +18,6 @@ from klproj import (
     multiclass_lda,
     pairwise_preservation,
     plugin_classifier_train,
-    pooled_covariance,
     random_class_params,
     rng_from_seed,
     sample,
@@ -62,7 +61,6 @@ def classification_part() -> None:
     # estimate everything from the training split, as a user would
     e1 = estimate_params(train, 1)
     e2 = estimate_params(train, 2)
-    pooled = pooled_covariance(train)
 
     print(f"two sampled classes, d = {d}, {n_train}/class train, {n_test}/class test")
     full_acc = plugin_classifier_train(train, np.eye(d)).score(test)
@@ -73,7 +71,7 @@ def classification_part() -> None:
         for fit in (
             lambda: mean_first_projection(e1, e2, r),
             lambda: whitened_component_projection(e1, e2, r),
-            lambda: lol_projection(e1, e2, r, pooled_cov=pooled),
+            lambda: lol_projection(e1, e2, r),
         ):
             a = fit().in_original_frame()
             accs.append(plugin_classifier_train(train, a).score(test))

@@ -34,7 +34,6 @@ from .gaussian import (
     g_score,
     kld,
     kld_split,
-    pooled_covariance,
 )
 from .linalg import orthonormalize_rows, principal_angles
 from .projections import (
@@ -419,11 +418,10 @@ def classification_ordering_vs_baseline() -> tuple[bool, str]:
         _, _, train, test = _classification_instance(regime)
         e1 = estimate_params(train, 1)
         e2 = estimate_params(train, 2)
-        pooled = pooled_covariance(train)
         fits = {
             "alg1": mean_first_projection(e1, e2, 2),
             "alg2": whitened_component_projection(e1, e2, 2),
-            "lol": lol_projection(e1, e2, 2, pooled_cov=pooled),
+            "lol": lol_projection(e1, e2, 2),
         }
         scores = {}
         for tag, res in fits.items():

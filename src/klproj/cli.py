@@ -31,7 +31,6 @@ from .gaussian import (
     GaussianParams,
     LabeledDataset,
     estimate_params,
-    pooled_covariance,
     project_params,
 )
 from .linalg import check_rows
@@ -136,32 +135,31 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_classes(args) -> tuple[list[GaussianParams], LabeledDataset | None]:
+def _load_classes(args) -> list[GaussianParams]:
     """Class parameters from --params files or estimated from --dataset (reversed by
-    --swap, where the command has it), and the dataset."""
+    --swap, where the command has it)."""
     if args.params and args.dataset:
         raise ValueError("pass either --params or --dataset, not both")
     if args.params:
-        records = [fileio.read_json(p) for p in args.params]
-        plist, data = [fileio.params_from_dict(rec) for rec in records], None
+        plist = [fileio.params_from_dict(fileio.read_json(p)) for p in args.params]
     elif args.dataset:
         data = fileio.dataset_from_csv(args.dataset)
         plist = [estimate_params(data, int(lab), args.ridge) for lab in data.class_labels]
     else:
         raise ValueError("one of --params or --dataset is required")
-    return (plist[::-1] if getattr(args, "swap", False) else plist), data
+    return plist[::-1] if getattr(args, "swap", False) else plist
 
 
-def _load_pair(args) -> tuple[list[GaussianParams], LabeledDataset | None]:
+def _load_pair(args) -> list[GaussianParams]:
     """``_load_classes`` for the commands that compare exactly 2 classes."""
-    plist, data = _load_classes(args)
+    plist = _load_classes(args)
     if len(plist) != 2:
         raise ValueError(f"{args.command} compares exactly 2 classes, got {len(plist)}")
-    return plist, data
+    return plist
 
 
 def cmd_fit(args) -> int:
-    plist, data = (_load_classes if args.method == "mclda" else _load_pair)(args)
+    plist = (_load_classes if args.method == "mclda" else _load_pair)(args)
     config = _config(args)
     extras: dict = {}
 
@@ -175,8 +173,7 @@ def cmd_fit(args) -> int:
             raise ValueError(f"--r is required for method {args.method!r}")
         if args.method == "lda" and args.r != 1:
             raise ValueError("lda produces a single direction; use --r 1")
-        pooled = pooled_covariance(data) if args.method == "lol" and data is not None else None
-        pair = _ClassPair(*plist, pooled)
+        pair = _ClassPair(*plist)
         result = _auto(pair, args.r, args.mode) if args.method == "auto" else FITS[args.method](pair, args.r)
         extras["full_kld"] = pair.split.total
         extras["regime"] = asdict(pair.regime(result.r))
@@ -214,7 +211,7 @@ def cmd_eval(args) -> int:
     out = Path(args.out_dir)
     writes = []  # (writer, arguments): the directory is made once every artifact is computed
     projections = [fileio.projection_from_dict(fileio.read_json(f)) for f in args.projection]
-    (p1, p2), _ = _load_pair(args)
+    p1, p2 = _load_pair(args)
     config = _config(args)
 
     if args.sweep_r:
@@ -297,7 +294,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_regime(args) -> int:
-    plist, _ = _load_pair(args)
+    plist = _load_pair(args)
     config = _config(args)
     record = {"kind": "regime", **asdict(select_regime(*plist, args.r)), "config": config}
     if args.out:

@@ -42,7 +42,10 @@ def dumps_json(obj) -> str:
 def _atomic_handle(path):
     """A text handle on a temp file that replaces ``path`` once the block succeeds."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError as exc:  # name the destination, not a temp name that changes every run
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
@@ -63,8 +66,12 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
+    """The record in a JSON file; a file that is not UTF-8 JSON is a DimensionMismatch naming it."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DimensionMismatch(f"{path}: {exc}") from None
 
 
 def write_csv(path, header: list, columns) -> None:

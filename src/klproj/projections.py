@@ -183,19 +183,18 @@ class _ClassPair(linalg.WhitenedPencil):
     puts its whole share on its first vector; other clusters stay as factored.
 
     ``value`` reads the divergence any original-frame rows keep in this
-    eigenframe, and ``pooled`` is lol's basis: the eigendecomposition of
-    ``pooled_cov``, by default the average of the class covariances, formed
-    on first read.
+    eigenframe, and ``pooled`` is lol's basis: the eigendecomposition of the
+    average of the class covariances, (S1 + S2) / 2, formed on first read.
     """
 
-    def __init__(self, p1: GaussianParams, p2: GaussianParams, pooled_cov: np.ndarray | None = None):
+    def __init__(self, p1: GaussianParams, p2: GaussianParams):
         _check_classes(p1, p2)
         super().__init__(p2.covariance, p1.covariance, p1.factor)
         if self.eigenvalues[-1] <= 0.0:
             raise NotPositiveDefinite(
                 "whitened class-2 covariance L^-1 S2 L^-T is not positive definite: smallest "
                 f"eigenvalue {self.eigenvalues[-1]:.6e} (largest {self.eigenvalues[0]:.6e})")
-        self.p1, self.p2, self._pooled_cov = p1, p2, pooled_cov
+        self.p1, self.p2 = p1, p2
         self.whitened_mean = solve_triangular(self.factor, p2.mean - p1.mean, lower=True,
                                               check_finite=False)
         self.means_equal = bool(np.linalg.norm(self.whitened_mean) < 1e-12)
@@ -230,12 +229,7 @@ class _ClassPair(linalg.WhitenedPencil):
 
     @cached_property
     def pooled(self) -> linalg.SymEigen:
-        cov = self._pooled_cov
-        cov = (self.p1.covariance + self.p2.covariance) / 2.0 if cov is None else cov
-        if np.shape(cov) != self.p1.covariance.shape:
-            raise DimensionMismatch(f"pooled covariance has shape {np.shape(cov)}, the classes' "
-                                    f"covariances {self.p1.covariance.shape}")
-        return linalg.sym_eig(cov)
+        return linalg.sym_eig((self.p1.covariance + self.p2.covariance) / 2.0)
 
     @property
     def split(self) -> KldBreakdown:
@@ -464,26 +458,21 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
     )
 
 
-def lol_projection(
-    p1: GaussianParams,
-    p2: GaussianParams,
-    r: int,
-    pooled_cov: np.ndarray | None = None,
-) -> ProjectionResult:
+def lol_projection(p1: GaussianParams, p2: GaussianParams, r: int) -> ProjectionResult:
     """Mean difference plus top principal directions of the pooled covariance.
 
     The classical low-rank baseline: row 1 is m2 - m1 and rows 2..r are the
-    leading eigenvectors of the pooled covariance (the average of the class
-    covariances unless one is supplied), orthonormalized: the axes of the
-    pooled eigenbasis V beside row 1's coordinates V^T (m2 - m1)
-    (``_axes_beside``).  V is the ``pooled`` basis of a pair factored for this
-    call, and the value is read in that pair's eigenframe (``_ClassPair.value``;
-    sweep_r and ``klproj fit`` share their pair).  Principal
+    leading eigenvectors of the pooled covariance, always the average of the
+    class covariances (S1 + S2) / 2, orthonormalized: the axes of the pooled
+    eigenbasis V beside row 1's coordinates V^T (m2 - m1) (``_axes_beside``).
+    V is the ``pooled`` basis of a pair factored for this call, and the value
+    is read in that pair's eigenframe (``_ClassPair.value``), so ``klproj
+    fit``, sweep_r and this function agree on the same classes.  Principal
     directions do not target discrimination, so this often retains far less
     divergence than the divergence-aware constructions.  Equal means drop
     the first row with a warning.
     """
-    return _lol(_ClassPair(p1, p2, pooled_cov), r)
+    return _lol(_ClassPair(p1, p2), r)
 
 
 def _lol(pair: _ClassPair, r: int) -> ProjectionResult:

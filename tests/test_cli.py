@@ -17,17 +17,22 @@ from klproj import (
     ProjectionResult,
     SpdSpec,
     component_kld,
+    estimate_params,
     fit_auto,
     kld,
     kld_projected,
     kld_split,
+    lda_direction,
+    lol_projection,
+    mean_first_projection,
     orthonormalize_rows,
     random_class_params,
     random_spd,
     spd_inv_sqrt,
     sym_eig,
+    whitened_component_projection,
 )
-from klproj import cli, gaussian, refine
+from klproj import gaussian, refine
 from klproj.cli import main
 from klproj.evaluate import MAX_RESOLUTION
 from klproj.fileio import (
@@ -59,6 +64,17 @@ def gen_direct(out_dir, seed=5, d=4, n=80, extra=()):
 def param_files(tmp_path):
     gen_direct(tmp_path / "g", seed=9)
     return [tmp_path / "g" / f"params_class{i}.json" for i in (1, 2)]
+
+
+@pytest.fixture(scope="module")
+def unbalanced_dataset(tmp_path_factory):
+    """gen --d 6 --n 300 --seed 5 cut to class 1's first 60 rows and all 300 of class 2:
+    (S1 + S2) / 2 and the dataset's pooled covariance differ here."""
+    root = tmp_path_factory.mktemp("unbalanced")
+    data = dataset_from_csv(gen_direct(root / "g", d=6, n=300) / "dataset.csv")
+    keep = (data.labels == 2) | (np.cumsum(data.labels == 1) <= 60)
+    dataset_to_csv(root / "cut.csv", LabeledDataset(data.samples[keep], data.labels[keep]))
+    return root / "cut.csv"
 
 
 class TestGen:
@@ -277,6 +293,17 @@ class TestFit:
                     tmp_path / "absent2.json", "--r", 1, "--out", tmp_path / "x.json"])
         assert code == 4
 
+    def test_failed_write_names_the_destination(self, tmp_path, param_files, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        lines = []
+        for _ in range(2):
+            assert run(["fit", "--params", *param_files, "--r", 1, "--out", "nodir/z.json"]) == 4
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1]
+        err = json.loads(lines[0])
+        assert err["error"] == "IOError"
+        assert err["message"].endswith("'nodir/z.json'")
+
     def test_dataset_route_estimates_classes(self, tmp_path):
         out = gen_direct(tmp_path / "g", seed=23, n=200)
         proj = tmp_path / "proj.json"
@@ -285,23 +312,23 @@ class TestFit:
         assert code == 0
         assert read_json(proj)["method"] == "lol"
 
-    def test_dataset_route_pools_only_for_lol(self, tmp_path, monkeypatch):
-        out = gen_direct(tmp_path / "g", seed=23, n=200)
-        pooled, kernel = [], cli.pooled_covariance
-
-        def counted(data):
-            pooled.append(data)
-            return kernel(data)
-
-        monkeypatch.setattr(cli, "pooled_covariance", counted)
-        for method, r in (("alg2", 2), ("auto", 2), ("lda", 1)):
-            assert run(["fit", "--dataset", out / "dataset.csv", "--r", r, "--method", method,
-                        "--out", tmp_path / f"{method}.json"]) == 0
-        assert run(["regime", "--dataset", out / "dataset.csv", "--r", 2]) == 0
-        assert pooled == []
-        assert run(["fit", "--dataset", out / "dataset.csv", "--r", 2, "--method", "lol",
-                    "--out", tmp_path / "lol.json"]) == 0
-        assert len(pooled) == 1
+    @pytest.mark.parametrize("method, r", [
+        ("alg1", 1), ("alg1", 2), ("alg2", 1), ("alg2", 2), ("lda", 1), ("lol", 1), ("lol", 2),
+    ])
+    def test_every_fit_agrees_across_entry_points(self, tmp_path, unbalanced_dataset, method, r):
+        proj, ev = tmp_path / "proj.json", tmp_path / "ev"
+        assert run(["fit", "--dataset", unbalanced_dataset, "--r", r, "--method", method,
+                    "--out", proj]) == 0
+        assert run(["eval", "--projection", proj, "--dataset", unbalanced_dataset,
+                    "--sweep-r", f"{r}..{r}", "--methods", method, "--out-dir", ev]) == 0
+        with open(ev / "sweep.csv", newline="") as handle:
+            (row,) = csv.DictReader(handle)
+        data = dataset_from_csv(unbalanced_dataset)
+        p1, p2 = estimate_params(data, 1), estimate_params(data, 2)
+        public = {"alg1": mean_first_projection, "alg2": whitened_component_projection,
+                  "lda": lambda a, b, _: lda_direction(a, b), "lol": lol_projection}[method]
+        fitted = read_json(proj)["achieved_kld"]
+        assert fitted == float(row["kld"]) == public(p1, p2, r).achieved_kld
 
     def test_method_follows_the_recorded_regime_at_the_boundary(self, tmp_path):
         # mean scale 8 ulps below the r=2 boundary d_mu = d_sigma: a split read
@@ -413,6 +440,20 @@ class TestMalformedInput:
         bad.write_text(body)
         code = run(["fit", "--dataset", bad, "--r", 1, "--out", tmp_path / "x.json"])
         self.assert_input_error(code, capsys, mentions=str(bad))
+
+    @pytest.mark.parametrize("body", [b"", b'{"mean": [1.0, 2.', b"f0,label\n1.0,1\n", b"\xff\xfe"],
+                             ids=["empty", "truncated", "csv", "not-utf8"])
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_unparsable_json_names_its_file(self, tmp_path, param_files, capsys, command, body):
+        bad, out = tmp_path / "bad.json", tmp_path / "out"
+        bad.write_bytes(body)
+        if command == "fit":
+            argv = ["fit", "--params", bad, param_files[1], "--r", 1, "--out", out]
+        else:
+            argv = ["eval", "--projection", bad, "--params", *param_files, "--sweep-r", "1..1",
+                    "--out-dir", out]
+        self.assert_input_error(run(argv), capsys, mentions=str(bad))
+        assert not out.exists()
 
     def test_json_array_instead_of_record(self, tmp_path, capsys):
         bad = tmp_path / "a.json"

@@ -352,19 +352,6 @@ class TestLolProjection:
         assert principal_angles(res.matrix, delta / np.linalg.norm(delta))[0] < 1e-10
         assert res.method == "lol"
 
-    def test_explicit_pooled_covariance_changes_rows(self):
-        p1 = random_class_params(4, 0.5, 3.0, 1.0, 171)
-        p2 = random_class_params(4, 0.5, 3.0, 1.0, 172)
-        default = lol_projection(p1, p2, 3)
-        override = lol_projection(p1, p2, 3, pooled_cov=np.diag([1.0, 2.0, 3.0, 4.0]))
-        assert np.max(principal_angles(default.matrix, override.matrix)) > 1e-6
-
-    @pytest.mark.parametrize("size", [3, 5])
-    def test_mis_shaped_pooled_covariance_is_a_dimension_mismatch(self, size):
-        p1, p2 = iso([0.0, 0.0, 0.0, 0.0]), iso([1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(DimensionMismatch, match=rf"\({size}, {size}\).*\(4, 4\)"):
-            lol_projection(p1, p2, 2, pooled_cov=np.eye(size))
-
     def test_equal_means_warn(self):
         p1 = iso([1.0, 1.0, 1.0])
         p2 = GaussianParams(p1.mean.copy(), np.diag([3.0, 2.0, 1.0]))
