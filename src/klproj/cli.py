@@ -52,6 +52,15 @@ def _write_csv(path: Path, header: list, columns, config: dict) -> None:
     _write_json(path.with_suffix(".config.json"), {"kind": "config", "config": config})
 
 
+def _read_record(path, parse):
+    """``parse`` of a JSON file's record; a record of the wrong shape is refused naming the file."""
+    record = fileio.read_json(path)
+    try:
+        return parse(record)
+    except DimensionMismatch as exc:
+        raise DimensionMismatch(f"{path}: {exc}") from None
+
+
 def _config(args) -> dict:
     """The config block of a command: its arguments minus outputs and handler."""
     config = {k: v for k, v in vars(args).items() if k not in ("func", "out", "out_dir")}
@@ -141,7 +150,7 @@ def _load_classes(args) -> list[GaussianParams]:
     if args.params and args.dataset:
         raise ValueError("pass either --params or --dataset, not both")
     if args.params:
-        plist = [fileio.params_from_dict(fileio.read_json(p)) for p in args.params]
+        plist = [_read_record(p, fileio.params_from_dict) for p in args.params]
     elif args.dataset:
         data = fileio.dataset_from_csv(args.dataset)
         plist = [estimate_params(data, int(lab), args.ridge) for lab in data.class_labels]
@@ -210,7 +219,7 @@ def _parse_sweep_range(text: str) -> range:
 def cmd_eval(args) -> int:
     out = Path(args.out_dir)
     writes = []  # (writer, arguments): the directory is made once every artifact is computed
-    projections = [fileio.projection_from_dict(fileio.read_json(f)) for f in args.projection]
+    projections = [_read_record(f, fileio.projection_from_dict) for f in args.projection]
     p1, p2 = _load_pair(args)
     config = _config(args)
 

@@ -101,12 +101,12 @@ def write_csv(path, header: list, columns) -> None:
 
 
 def read_csv(path) -> tuple[list, np.ndarray]:
-    """Header names and the n x k float64 table of a numeric CSV."""
+    """Header names and the n x k float64 table of a numeric UTF-8 CSV, else a DimensionMismatch."""
     with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if not header:
-            raise DimensionMismatch(f"{path}: empty CSV file, expected a header line")
-        try:
+        try:  # a UnicodeDecodeError, from the header's read or loadtxt's, is a ValueError
+            header = handle.readline().strip()
+            if not header:
+                raise DimensionMismatch(f"{path}: empty CSV file, expected a header line")
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # no data rows is reported below
                 table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)

@@ -171,9 +171,20 @@ def _check_classes(*params: GaussianParams) -> int:
     return dims[0]
 
 
-def _kld_pieces(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
-    """(d_mu, d_sigma) via Cholesky: tr(S2^-1 S1) = |L2^-1 L1|_F^2, quad = |L2^-1 delta|^2.
+# ---------------------------------------------------------------------------
+# divergences
+# ---------------------------------------------------------------------------
 
+
+def kld(p1: GaussianParams, p2: GaussianParams) -> float:
+    """Kullback-Leibler divergence D(p1 || p2) in nats: kld_split's total."""
+    return kld_split(p1, p2).total
+
+
+def kld_split(p1: GaussianParams, p2: GaussianParams) -> KldBreakdown:
+    """KLD with its mean (d_mu) and covariance (d_sigma) parts, via Cholesky.
+
+    tr(S2^-1 S1) = |L2^-1 L1|_F^2 and the quadratic form is |L2^-1 delta|^2.
     L2^-1 L1 is lower triangular: its columns j:j+b are L2[j:, j:]^-1 L1[j:, j:j+b]
     below row j and zero above, d^3/3 flops over all blocks instead of d^3.
     """
@@ -189,23 +200,6 @@ def _kld_pieces(p1: GaussianParams, p2: GaussianParams) -> tuple[float, float]:
     d_sigma = _clamp_nonneg(
         0.5 * (_chol_logdet(l2) - _chol_logdet(l1) - d + trace), "covariance divergence term"
     )
-    return d_mu, d_sigma
-
-
-# ---------------------------------------------------------------------------
-# divergences
-# ---------------------------------------------------------------------------
-
-
-def kld(p1: GaussianParams, p2: GaussianParams) -> float:
-    """Kullback-Leibler divergence D(p1 || p2) in nats."""
-    d_mu, d_sigma = _kld_pieces(p1, p2)
-    return d_mu + d_sigma
-
-
-def kld_split(p1: GaussianParams, p2: GaussianParams) -> KldBreakdown:
-    """KLD with its mean (d_mu) and covariance (d_sigma) parts."""
-    d_mu, d_sigma = _kld_pieces(p1, p2)
     return KldBreakdown(total=d_mu + d_sigma, d_mu=d_mu, d_sigma=d_sigma)
 
 

@@ -117,24 +117,19 @@ def embed_channel(
 ) -> tuple[GaussianParams, GaussianParams, np.ndarray]:
     """Embed a signal pair through a random full-column-rank channel.
 
-    Draws H (d x t, standard normal entries) from the channel seed,
-    redrawing up to 5 times if H is numerically rank deficient, and returns
-    the two observed-space classes N(H mu_k, H S_k H^T + noise_var I)
-    together with H.  By data processing, every divergence downstream of the
-    embedding is bounded by the signal-space divergence.
+    Draws H (d x t, standard normal entries) once from the channel seed and
+    returns the two observed-space classes N(H mu_k, H S_k H^T + noise_var I)
+    together with H.  A numerically rank-deficient draw is refused with
+    ChannelRankFailure naming d, t and the seed.  By data processing, every
+    divergence downstream of the embedding is bounded by the signal-space
+    divergence.
     """
     if _check_classes(s1, s2) != chan.t:
         raise DimensionMismatch(f"signal dimension {s1.dim} does not match channel t={chan.t}")
-    rng = rng_from_seed(chan.seed)
-    h = None
-    for _ in range(5):
-        candidate = rng.standard_normal((chan.d, chan.t))
-        if linalg.numerical_rank(candidate) == chan.t:
-            h = candidate
-            break
-    if h is None:
+    h = rng_from_seed(chan.seed).standard_normal((chan.d, chan.t))
+    if linalg.numerical_rank(h) != chan.t:
         raise ChannelRankFailure(
-            f"no full-rank {chan.d} x {chan.t} channel in 5 attempts (seed {chan.seed})"
+            f"the d={chan.d} x t={chan.t} channel drawn from seed {chan.seed} is rank deficient"
         )
 
     def push(s: GaussianParams) -> GaussianParams:

@@ -32,7 +32,7 @@ from klproj import (
     sym_eig,
     whitened_component_projection,
 )
-from klproj import gaussian, refine
+from klproj import gaussian, linalg, refine
 from klproj.cli import main
 from klproj.evaluate import MAX_RESOLUTION
 from klproj.fileio import (
@@ -128,6 +128,16 @@ class TestGen:
         code = run(["gen", "--d", 8, "--t", 2, "--classes", 3,
                     "--seed", 1, "--out-dir", tmp_path])
         assert code == 2
+
+    def test_rank_deficient_channel_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                                monkeypatch):
+        monkeypatch.setattr(linalg, "numerical_rank", lambda a: np.shape(a)[1] - 1)
+        code = run(["gen", "--d", 6, "--t", 2, "--seed", 1, "--out-dir", tmp_path / "g"])
+        assert code == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ChannelRankFailure"
+        assert not (tmp_path / "g").exists()
 
     def test_missing_seed_is_usage_error(self, tmp_path, capsys):
         code = run(["gen", "--d", 4, "--out-dir", tmp_path])
@@ -349,23 +359,24 @@ class TestFit:
         files = [tmp_path / "a.json", tmp_path / "b.json"]
         for path, seed in zip(files, (41, 42)):
             write_json(path, params_to_dict(random_class_params(40, 0.2, 5.0, 1.0, seed)))
-        sytrds, pieces = [], []
-        sytrd, kld_pieces = scipy.linalg.lapack.dsytrd, gaussian._kld_pieces
+        sytrds, splits = [], []
+        sytrd, split = scipy.linalg.lapack.dsytrd, gaussian.kld_split
 
         def counted_sytrd(a, *args, **kwargs):
             sytrds.append(np.shape(a))
             return sytrd(a, *args, **kwargs)
 
-        def counted_pieces(p1, p2):
-            pieces.append(p1.dim)
-            return kld_pieces(p1, p2)
+        def counted_split(p1, p2):
+            splits.append(p1.dim)
+            return split(p1, p2)
 
         monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", counted_sytrd)
-        monkeypatch.setattr(gaussian, "_kld_pieces", counted_pieces)
+        # kld reads kld_split
+        monkeypatch.setattr(gaussian, "kld_split", counted_split)
         assert run(["fit", "--params", *files, "--r", 2, "--out", tmp_path / "proj.json"]) == 0
         # the split and the regime are read off the fit's own pair
         assert sytrds.count((40, 40)) == 1
-        assert 40 not in pieces
+        assert 40 not in splits
 
     def test_small_whitened_spectrum_keeps_every_eigenvalue(self, tmp_path):
         # whitened eigenvalues 1e-12 .. 1e-11, 2.25e-12 apart: distinct relative to
@@ -429,15 +440,18 @@ class TestMalformedInput:
         assert mentions in err["message"]
 
     @pytest.mark.parametrize("body", [
-        "f0,f1,label\n1.0,oops,1\n2.0,3.0,2\n",
-        "f0,f1,label\n1.0,2.0,1\n2.0,2\n",
-        "f0,label\n1.0,2.0,1\n2.0,3.0,2\n",
-        "f0,f1,label\n",
-        "f0,f1,label\n#1.0,2.0,1\n2.0,3.0,2\n",
-    ], ids=["non-numeric-cell", "ragged-row", "header-width", "header-only", "hash-row"])
+        b"f0,f1,label\n1.0,oops,1\n2.0,3.0,2\n",
+        b"f0,f1,label\n1.0,2.0,1\n2.0,2\n",
+        b"f0,label\n1.0,2.0,1\n2.0,3.0,2\n",
+        b"f0,f1,label\n",
+        b"f0,f1,label\n#1.0,2.0,1\n2.0,3.0,2\n",
+        b"\xff\xfe",
+        b"f0,label\n\xff,1\n",
+    ], ids=["non-numeric-cell", "ragged-row", "header-width", "header-only", "hash-row",
+            "not-utf8-header", "not-utf8-row"])
     def test_malformed_dataset_csv(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.csv"
-        bad.write_text(body)
+        bad.write_bytes(body)
         code = run(["fit", "--dataset", bad, "--r", 1, "--out", tmp_path / "x.json"])
         self.assert_input_error(code, capsys, mentions=str(bad))
 
@@ -454,6 +468,27 @@ class TestMalformedInput:
                     "--out-dir", out]
         self.assert_input_error(run(argv), capsys, mentions=str(bad))
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--params", "five.json", "five.json", "--r", 1, "--out", "out"],
+        ["fit", "--params", "g/params_class1.json", "five.json", "--r", 1, "--out", "out"],
+        ["eval", "--projection", "five.json", "--params", "g/params_class1.json",
+         "g/params_class2.json", "--sweep-r", "1..1", "--out-dir", "out"],
+    ], ids=["fit-both", "fit-second", "eval"])
+    def test_wrong_kind_of_record_names_its_file(self, tmp_path, param_files, capsys, argv):
+        five = tmp_path / "five.json"
+        five.write_text("5\n")
+        argv = [tmp_path / a if str(a).endswith(".json") or a == "out" else a for a in argv]
+        capsys.readouterr()
+        assert run(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DimensionMismatch"
+        # the file is named once, and the good params file beside it not at all
+        assert err["message"].startswith(f"{five}: expected a ")
+        assert err["message"].count(str(tmp_path)) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_json_array_instead_of_record(self, tmp_path, capsys):
         bad = tmp_path / "a.json"

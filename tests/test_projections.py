@@ -515,15 +515,15 @@ class TestPairFactoredOnce:
         p1, p2 = channel_pair()
         eighs = self.count_full(monkeypatch, np.linalg, "eigh", p1.dim)
         sytrds = self.count_full(monkeypatch, scipy.linalg.lapack, "dsytrd", p1.dim)
-        splits, pieces = [], gaussian._kld_pieces
+        splits, split = [], gaussian.kld_split
 
         def counted(q1, q2):
             if q1.dim == p1.dim:
                 splits.append(1)
-            return pieces(q1, q2)
+            return split(q1, q2)
 
-        # kld and kld_split both read _kld_pieces
-        monkeypatch.setattr(gaussian, "_kld_pieces", counted)
+        # kld reads kld_split
+        monkeypatch.setattr(gaussian, "kld_split", counted)
         for mode in ("rule", "compare"):
             for r in (1, 2):
                 sytrds.clear()

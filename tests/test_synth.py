@@ -17,7 +17,8 @@ from klproj import (
     rng_from_seed,
     sample,
 )
-from klproj.errors import DimensionMismatch, NonPositiveInput
+from klproj import linalg
+from klproj.errors import ChannelRankFailure, DimensionMismatch, NonPositiveInput
 
 
 class TestRandomSpd:
@@ -151,6 +152,20 @@ class TestChannel:
         s = random_class_params(3, 0.5, 2.0, 1.0, 47)
         with pytest.raises(DimensionMismatch):
             embed_channel(s, s, ChannelSpec(t=4, d=10, noise_var=1.0, seed=1))
+
+    def test_rank_deficient_draw_is_refused(self, monkeypatch):
+        calls = []
+
+        def deficient(a):
+            calls.append(1)
+            return np.shape(a)[1] - 1
+
+        monkeypatch.setattr(linalg, "numerical_rank", deficient)
+        s1 = random_class_params(2, 0.5, 2.0, 1.0, 51)
+        s2 = random_class_params(2, 0.5, 2.0, 1.0, 52)
+        with pytest.raises(ChannelRankFailure, match="d=6 x t=2 .* seed 53"):
+            embed_channel(s1, s2, ChannelSpec(t=2, d=6, noise_var=1.0, seed=53))
+        assert len(calls) == 1
 
     def test_deterministic(self):
         s1 = random_class_params(2, 0.5, 2.0, 1.0, 51)
