@@ -53,12 +53,14 @@ def _write_csv(path: Path, header: list, columns, config: dict) -> None:
 
 
 def _read_record(path, parse):
-    """``parse`` of a JSON file's record; a record of the wrong shape is refused naming the file."""
+    """``parse`` of a JSON file's record; every typed error building the record names the
+    file, keeping its type and exit code."""
     record = fileio.read_json(path)
     try:
         return parse(record)
-    except DimensionMismatch as exc:
-        raise DimensionMismatch(f"{path}: {exc}") from None
+    except KlprojError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _config(args) -> dict:

@@ -6,11 +6,20 @@ atomic (temp file + rename in the destination directory).  JSON objects are
 emitted with sorted keys so the same in-memory record always produces the
 same bytes; rerunning a seeded command therefore reproduces its artifacts
 byte for byte.
+
+A dataset CSV gets a twin beside it: ``<csv name>.<sha256 of the CSV's
+bytes>.npy``, the float64 table that parsing the CSV returns.  ``read_csv``
+loads the twin whose name holds the CSV's digest instead of parsing; any
+other CSV, edited or foreign, is parsed.  The CSV stays the format; a twin
+is a cache of it that is safe to delete.
 """
 
 import contextlib
+import hashlib
+import io
 import json
 import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -24,8 +33,11 @@ from .projections import FRAME_ORIGINAL, FRAME_WHITENED, ProjectionResult
 # CSV cell format per numpy dtype kind; %.17g round-trips float64 bit-exactly.
 _CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
 
-# Cells of write_csv's staging buffer.
+# Cells of write_csv's staging buffer, and of a twin's.
 _CSV_CELLS = 1 << 16
+
+# Bytes per read while hashing a CSV for its twin.
+_HASH_CHUNK = 1 << 18
 
 
 def _plain(obj):
@@ -39,15 +51,17 @@ def dumps_json(obj) -> str:
 
 
 @contextlib.contextmanager
-def _atomic_handle(path):
-    """A text handle on a temp file that replaces ``path`` once the block succeeds."""
+def _atomic_handle(path, binary=False):
+    """A UTF-8 text (or binary) handle on a temp file that replaces ``path`` once the
+    block succeeds."""
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     except OSError as exc:  # name the destination, not a temp name that changes every run
         raise OSError(exc.errno, exc.strerror, str(path)) from None
+    text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with os.fdopen(fd, "wb" if binary else "w", **text) as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -74,6 +88,18 @@ def read_json(path):
             raise DimensionMismatch(f"{path}: {exc}") from None
 
 
+def _row_blocks(columns, rows: int, dtype):
+    """The table of equal-length ``columns`` as successive blocks of at most ``rows``
+    rows, each filled into one reused ``dtype`` buffer."""
+    n = len(columns[0])
+    buffer = np.empty((min(n, rows), len(columns)), dtype=dtype)
+    for start in range(0, n, rows):
+        filled = buffer[:min(rows, n - start)]
+        for j, column in enumerate(columns):
+            filled[:, j] = column[start:start + rows]
+        yield filled
+
+
 def write_csv(path, header: list, columns) -> None:
     """Write a table given as equal-length columns, one per header name.
 
@@ -86,30 +112,68 @@ def write_csv(path, header: list, columns) -> None:
     """
     columns = [np.asarray(column) for column in columns]
     fmt = [_CSV_FORMATS[column.dtype.kind] for column in columns]
-    n, row, size = len(columns[0]), ",".join(fmt), max(1, 256 // len(fmt))
+    row, size = ",".join(fmt), max(1, 256 // len(fmt))
     rows = size * max(1, _CSV_CELLS // (size * len(fmt)))  # whole format blocks
-    buffer = np.empty((min(n, rows), len(fmt)), dtype=object if "%s" in fmt else float)
     with _atomic_handle(path) as handle:
         handle.write(",".join(header) + "\n")
-        for start in range(0, n, rows):
-            filled = buffer[:min(rows, n - start)]
-            for j, column in enumerate(columns):
-                filled[:, j] = column[start:start + rows]
+        for filled in _row_blocks(columns, rows, object if "%s" in fmt else float):
             for at in range(0, len(filled), size):
                 block = filled[at:at + size]
                 handle.write(("\n".join([row] * len(block)) + "\n") % tuple(block.ravel().tolist()))
 
 
+def _twin(path: Path, handle) -> Path:
+    """The twin's name for the CSV at ``path``, open on binary ``handle``:
+    ``<csv name>.<sha256 of its bytes>.npy``, hashed in chunks."""
+    sha = hashlib.sha256()
+    while chunk := handle.read(_HASH_CHUNK):
+        sha.update(chunk)
+    return path.with_name(f"{path.name}.{sha.hexdigest()}.npy")
+
+
+def _twins(path: Path) -> list[Path]:
+    """The files beside a CSV named as its twins: ``<csv name>.<64 hex digits>.npy``."""
+    twin = re.compile(re.escape(path.name) + r"\.[0-9a-f]{64}\.npy")
+    return [path.parent / name for name in os.listdir(path.parent) if twin.fullmatch(name)]
+
+
+def _twin_table(path: Path, handle):
+    """The table of the twin named by the digest of the CSV open on binary ``handle``, or
+    None to parse the CSV: there is no such twin, or it is not a 2-D float64 .npy.  The
+    CSV is hashed only when some twin of it exists."""
+    try:
+        twins = _twins(path)
+    except OSError:  # a directory that cannot be listed has no twins to offer
+        return None
+    if not twins:
+        return None
+    twin = _twin(path, handle)
+    try:
+        with open(twin, "rb") as npy:
+            table = np.lib.format.read_array(npy, allow_pickle=False)
+    except (OSError, ValueError):  # no twin of these bytes, or not an .npy
+        return None
+    return table if table.dtype == np.float64 and table.ndim == 2 else None
+
+
 def read_csv(path) -> tuple[list, np.ndarray]:
-    """Header names and the n x k float64 table of a numeric UTF-8 CSV, else a DimensionMismatch."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Header names and the n x k float64 table of a numeric UTF-8 CSV, else a DimensionMismatch.
+
+    The table is the CSV's twin when one is named by the digest of the CSV's
+    bytes (see dataset_to_csv), else parsed; the same checks run on either.
+    """
+    with open(path, "rb") as raw:
+        table = _twin_table(Path(path), raw)
+        raw.seek(0)
+        handle = io.TextIOWrapper(raw, encoding="utf-8")
         try:  # a UnicodeDecodeError, from the header's read or loadtxt's, is a ValueError
             header = handle.readline().strip()
             if not header:
                 raise DimensionMismatch(f"{path}: empty CSV file, expected a header line")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # no data rows is reported below
-                table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            if table is None:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # no data rows is reported below
+                    table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
             raise DimensionMismatch(f"{path}: {exc}") from None
     header = header.split(",")
@@ -229,8 +293,28 @@ def projection_from_dict(record: dict) -> ProjectionResult:
 
 
 def dataset_to_csv(path, data: LabeledDataset) -> None:
+    """Write the dataset as a CSV (features f0.., then label), then its twin.
+
+    The twin ``<csv name>.<sha256 of the CSV's bytes>.npy`` holds the n x (d+1)
+    float64 table that parsing the CSV returns, bit for bit: %.17g round-trips
+    float64 and the labels are integers.  It is built from row blocks like the
+    CSV and written atomically once the CSV is in place; the CSV's older twins
+    are then deleted.
+    """
+    path = Path(path)
     header = [f"f{i}" for i in range(data.dim)] + ["label"]
-    write_csv(path, header, [*data.samples.T, data.labels])
+    columns = [*data.samples.T, data.labels]
+    write_csv(path, header, columns)
+    with open(path, "rb") as handle:
+        twin = _twin(path, handle)
+    with _atomic_handle(twin, binary=True) as handle:
+        np.lib.format.write_array_header_1_0(
+            handle, {"descr": "<f8", "fortran_order": False, "shape": (len(data.labels), len(columns))})
+        for block in _row_blocks(columns, max(1, _CSV_CELLS // len(columns)), "<f8"):
+            handle.write(block)
+    for old in _twins(path):
+        if old != twin:
+            old.unlink(missing_ok=True)
 
 
 def dataset_from_csv(path) -> LabeledDataset:

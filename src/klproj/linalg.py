@@ -80,7 +80,9 @@ def check_rows(a, dim: int) -> np.ndarray:
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    """M/2 + M^T/2: the bits of (M + M^T) / 2 wherever that sum neither overflows nor
+    goes subnormal, and finite wherever M is."""
+    return m / 2.0 + m.T / 2.0
 
 
 def numerical_rank(a: np.ndarray) -> int:
@@ -113,7 +115,7 @@ class SymEigen:
 def sym_eig(m) -> SymEigen:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    The input is symmetrized as (M + M.T) / 2 before factorization, which
+    The input is symmetrized as M/2 + M.T/2 before factorization, which
     also makes the call safe for matrices that are symmetric only up to
     roundoff.
     """

@@ -184,7 +184,9 @@ class _ClassPair(linalg.WhitenedPencil):
 
     ``value`` reads the divergence any original-frame rows keep in this
     eigenframe, and ``pooled`` is lol's basis: the eigendecomposition of the
-    average of the class covariances, (S1 + S2) / 2, formed on first read.
+    average of the class covariances, S1/2 + S2/2, formed on first read.  Halving
+    before the sum keeps the average finite wherever both covariances are, with
+    the bits of (S1 + S2) / 2 wherever that sum neither overflows nor goes subnormal.
     """
 
     def __init__(self, p1: GaussianParams, p2: GaussianParams):
@@ -229,7 +231,7 @@ class _ClassPair(linalg.WhitenedPencil):
 
     @cached_property
     def pooled(self) -> linalg.SymEigen:
-        return linalg.sym_eig((self.p1.covariance + self.p2.covariance) / 2.0)
+        return linalg.sym_eig(self.p1.covariance / 2.0 + self.p2.covariance / 2.0)
 
     @property
     def split(self) -> KldBreakdown:

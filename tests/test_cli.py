@@ -1,8 +1,10 @@
 """Command line behavior: artifacts, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import math
+import shutil
 import warnings
 from pathlib import Path
 
@@ -138,6 +140,15 @@ class TestGen:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ChannelRankFailure"
         assert not (tmp_path / "g").exists()
+
+    def test_regen_with_another_seed_keeps_one_twin_per_csv(self, tmp_path):
+        out = gen_direct(tmp_path / "g", seed=7, n=50, extra=["--n-test", "20"])
+        first = sorted(p.name for p in out.glob("*.npy"))
+        gen_direct(out, seed=8, n=50, extra=["--n-test", "20"])
+        twins = sorted(p.name for p in out.glob("*.npy"))
+        assert twins == sorted(f"{name}.{hashlib.sha256((out / name).read_bytes()).hexdigest()}.npy"
+                               for name in ("dataset.csv", "test.csv"))
+        assert not set(twins) & set(first)
 
     def test_missing_seed_is_usage_error(self, tmp_path, capsys):
         code = run(["gen", "--d", 4, "--out-dir", tmp_path])
@@ -322,6 +333,36 @@ class TestFit:
         assert code == 0
         assert read_json(proj)["method"] == "lol"
 
+    def test_twin_less_copy_fits_the_same(self, tmp_path):
+        out = gen_direct(tmp_path / "g", seed=23, n=200)
+        copy = tmp_path / "copy" / "dataset.csv"
+        copy.parent.mkdir()
+        shutil.copyfile(out / "dataset.csv", copy)
+        records = []
+        for source in (out / "dataset.csv", copy):
+            proj = source.parent / "proj.json"
+            assert run(["fit", "--dataset", source, "--r", 2, "--out", proj]) == 0
+            records.append({k: v for k, v in read_json(proj).items() if k != "config"})
+        assert records[0] == records[1]
+        assert not list(copy.parent.glob("*.npy"))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lol_fits_covariances_near_the_float_limit(self, tmp_path, seed, capsys):
+        # S1 + S2 overflows, the average S1/2 + S2/2 does not
+        files = []
+        for i, (top, shift) in enumerate(((1.5e308, 0.0), (1.2e308, 1e150)), start=1):
+            p = random_class_params(3, 0.5, 2.0, 1.0, 9100 + 2 * seed + i)
+            cov = p.covariance * (top / np.abs(p.covariance).max())
+            files.append(tmp_path / f"class{i}.json")
+            write_json(files[-1], params_to_dict(GaussianParams(p.mean + shift, cov)))
+        for r in (1, 2, 3):
+            out = tmp_path / f"lol{r}.json"
+            assert run(["fit", "--params", *files, "--method", "lol", "--r", r, "--out", out]) == 0
+            record = read_json(out)
+            assert np.all(np.isfinite(record["matrix"]))
+            assert 0.0 < record["achieved_kld"] <= record["full_kld"] * (1 + 1e-12)
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("method, r", [
         ("alg1", 1), ("alg1", 2), ("alg2", 1), ("alg2", 2), ("lda", 1), ("lol", 1), ("lol", 2),
     ])
@@ -468,6 +509,27 @@ class TestMalformedInput:
                     "--out-dir", out]
         self.assert_input_error(run(argv), capsys, mentions=str(bad))
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, error, code", [
+        ("covariance", [[1.0, 0.0], [0.0, -1.0]], "NotPositiveDefinite", 3),
+        ("mean", [math.inf, 0.0], "NonFiniteInput", 2),
+    ], ids=["not-positive-definite", "infinite-mean"])
+    @pytest.mark.parametrize("bad_first", [False, True], ids=["second", "first"])
+    def test_invalid_values_name_their_file(self, tmp_path, capsys, field, value, error, code,
+                                            bad_first):
+        record = {"kind": "gaussian_params", "dim": 2, "mean": [0.0, 0.0],
+                  "covariance": [[1.0, 0.0], [0.0, 1.0]]}
+        ok, bad = tmp_path / "ok.json", tmp_path / "bad.json"
+        write_json(ok, record)
+        write_json(bad, dict(record, **{field: value}))
+        files = [bad, ok] if bad_first else [ok, bad]
+        assert run(["fit", "--params", *files, "--r", 1, "--out", tmp_path / "x.json"]) == code
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == error
+        assert err["message"].startswith(f"{bad}: ")
+        assert err["message"].count(str(tmp_path)) == 1
 
     @pytest.mark.parametrize("argv", [
         ["fit", "--params", "five.json", "five.json", "--r", 1, "--out", "out"],

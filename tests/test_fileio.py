@@ -1,8 +1,11 @@
-"""On-disk formats: bit-exact floats, stable JSON, record round trips."""
+"""On-disk formats: bit-exact floats, stable JSON, record round trips, dataset twins."""
 
+import hashlib
 import io
 import json
 import math
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,3 +274,140 @@ class TestDatasetCsv:
         path.write_text("f0,f1\n1.0,2.0\n")
         with pytest.raises(DimensionMismatch):
             dataset_from_csv(path)
+
+
+def _twins_of(path):
+    # named <csv name>.<64 hex digits>.npy
+    return sorted(p for p in path.parent.glob(path.name + ".*.npy") if len(p.suffixes[-2]) == 65)
+
+
+def _parsed(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("the CSV was parsed")
+
+
+class TestDatasetTwin:
+    """dataset_to_csv's .npy twin: the parsed table, loaded only for the CSV's own bytes."""
+
+    @staticmethod
+    def hard_dataset(path):
+        vals = _hard_floats(891)  # 408 values: signed zeros, subnormals, 1e308
+        data = LabeledDataset(vals.reshape(-1, 2), np.repeat([1, 2], vals.size // 4))
+        dataset_to_csv(path, data)
+        return data
+
+    def test_twin_holds_the_parsed_table_bit_for_bit(self, tmp_path):
+        path = tmp_path / "d.csv"
+        self.hard_dataset(path)
+        (twin,) = _twins_of(path)
+        assert twin.name == f"d.csv.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+        expect = io.BytesIO()
+        np.save(expect, _parsed(path))
+        assert twin.read_bytes() == expect.getvalue()
+
+    def test_read_loads_the_twin_instead_of_parsing(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        data = self.hard_dataset(path)
+        parsed = _parsed(path)
+        monkeypatch.setattr(np, "loadtxt", _no_parse)
+        header, table = read_csv(path)
+        assert header == ["f0", "f1", "label"]
+        assert table.tobytes() == parsed.tobytes()
+        back = dataset_from_csv(path)
+        assert back.samples.tobytes() == data.samples.tobytes()
+        np.testing.assert_array_equal(back.labels, data.labels)
+
+    def test_edited_cell_is_parsed_not_twinned(self, tmp_path):
+        path = tmp_path / "d.csv"
+        self.hard_dataset(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = "0.25" + lines[1][lines[1].index(","):]  # same shape, one cell changed
+        path.write_text("".join(lines))
+        _, table = read_csv(path)
+        assert table[0, 0] == 0.25
+        assert table.tobytes() == _parsed(path).tobytes()
+        assert len(_twins_of(path)) == 1  # the stale twin is kept, and ignored
+
+    def test_twin_of_the_wrong_width_is_refused_like_a_parse(self, tmp_path):
+        path = tmp_path / "d.csv"
+        self.hard_dataset(path)
+        (twin,) = _twins_of(path)
+        np.save(twin, _parsed(path)[:, 1:])
+        with pytest.raises(DimensionMismatch) as from_twin:
+            read_csv(path)
+        path.write_text("f0,f1,label\n1.0,1\n2.0,2\n")
+        with pytest.raises(DimensionMismatch) as from_parse:
+            read_csv(path)
+        assert str(from_twin.value) == str(from_parse.value) == (
+            f"{path}: header names 3 columns, rows have 2")
+
+    @pytest.mark.parametrize("kind", ["not-npy", "truncated", "float32"])
+    def test_unreadable_twin_falls_back_to_the_parse(self, tmp_path, kind):
+        path = tmp_path / "d.csv"
+        self.hard_dataset(path)
+        (twin,) = _twins_of(path)
+        if kind == "not-npy":
+            payload = b"not an npy file"
+        elif kind == "truncated":
+            payload = twin.read_bytes()[:-8]
+        else:
+            buffer = io.BytesIO()
+            np.save(buffer, np.zeros(_parsed(path).shape, np.float32))
+            payload = buffer.getvalue()
+        twin.write_bytes(payload)
+        _, table = read_csv(path)
+        assert table.tobytes() == _parsed(path).tobytes()
+
+    def test_csv_without_a_twin_is_never_hashed(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        self.hard_dataset(path)
+        copy = tmp_path / "copy" / "d.csv"
+        copy.parent.mkdir()
+        shutil.copyfile(path, copy)
+        (copy.parent / "d.csv.backup.npy").write_bytes(b"")  # not named as a twin
+        monkeypatch.setattr(fileio, "_twin", _no_parse)
+        _, table = read_csv(copy)
+        assert table.tobytes() == _parsed(path).tobytes()
+
+    def test_unlistable_directory_is_parsed(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        self.hard_dataset(path)
+
+        def refuse(directory):
+            raise PermissionError(13, "Permission denied", str(directory))
+        monkeypatch.setattr(fileio.os, "listdir", refuse)
+        _, table = read_csv(path)
+        assert table.tobytes() == _parsed(path).tobytes()
+
+    def test_rewrite_keeps_one_twin_per_csv(self, tmp_path):
+        path = tmp_path / "d.csv"
+        self.hard_dataset(path)
+        other = tmp_path / "e.csv"
+        self.hard_dataset(other)
+        lookalike = tmp_path / "d.csv.backup.npy"
+        lookalike.write_bytes(b"")
+        dataset_to_csv(path, LabeledDataset(np.eye(3), [1, 2, 2]))
+        (twin,) = _twins_of(path)
+        assert twin.name == f"d.csv.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+        assert len(_twins_of(other)) == 1 and lookalike.exists()
+        np.testing.assert_array_equal(read_csv(path)[1], [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 2]])
+
+    def test_twin_is_built_from_row_blocks(self, tmp_path, monkeypatch):
+        # 4000 x 51 cells: an n x (d+1) staging table would take 1.6 MB on top of the dataset
+        n, d = 4000, 50
+        data = LabeledDataset(np.random.default_rng(921).standard_normal((n, d)),
+                              np.repeat([1, 2], n // 2))
+        tracemalloc.start()
+        try:
+            dataset_to_csv(tmp_path / "d.csv", data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 8 * n * (d + 1)
+        whole = _twins_of(tmp_path / "d.csv")[0].read_bytes()
+        monkeypatch.setattr(fileio, "_CSV_CELLS", 99)  # 1 row per block, the last one short
+        dataset_to_csv(tmp_path / "refilled.csv", data)
+        assert _twins_of(tmp_path / "refilled.csv")[0].read_bytes() == whole

@@ -11,6 +11,7 @@ from klproj.errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 from klproj.linalg import (
     SPD_RTOL,
     WhitenedPencil,
+    _symmetrized,
     assert_spd,
     cholesky,
     generalized_eig,
@@ -52,6 +53,17 @@ class TestSymEig:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             sym_eig(np.ones((2, 3)))
+
+    def test_symmetrizes_near_the_float_limit(self):
+        # M + M^T overflows; M/2 + M^T/2 does not
+        eig = sym_eig(np.diag([1.0, 1.5e308, 1e308]))
+        np.testing.assert_array_equal(eig.eigenvalues, [1.5e308, 1e308, 1.0])
+
+    def test_symmetrized_has_the_bits_of_the_halved_sum(self):
+        rng = np.random.default_rng(31)
+        for scale in (1e-300, 1.0, 1e300):
+            m = rng.standard_normal((7, 7)) * scale
+            assert _symmetrized(m).tobytes() == ((m + m.T) / 2.0).tobytes()
 
 
 class TestSpdGuards:

@@ -359,6 +359,15 @@ class TestLolProjection:
         assert res.warnings
         assert res.r == 2
 
+    def test_pooled_has_the_bits_of_the_halved_sum(self):
+        p1 = random_class_params(6, 0.2, 6.0, 1.0, 171)
+        p2 = random_class_params(6, 0.2, 6.0, 1.0, 172)
+        w, v = np.linalg.eigh((p1.covariance + p2.covariance) / 2.0)
+        order = np.argsort(-w, kind="stable")
+        pooled = _ClassPair(p1, p2).pooled
+        assert pooled.eigenvalues.tobytes() == w[order].tobytes()
+        assert pooled.eigenvectors.tobytes() == v[:, order].tobytes()
+
     def test_never_beats_divergence_aware_at_full_rank(self):
         p1 = random_class_params(5, 0.2, 6.0, 1.0, 181)
         p2 = random_class_params(5, 0.2, 6.0, 1.0, 182)
