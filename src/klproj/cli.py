@@ -56,11 +56,8 @@ def _read_record(path, parse):
     """``parse`` of a JSON file's record; every typed error building the record names the
     file, keeping its type and exit code."""
     record = fileio.read_json(path)
-    try:
+    with fileio.naming(path):
         return parse(record)
-    except KlprojError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
 
 
 def _config(args) -> dict:
@@ -238,7 +235,7 @@ def cmd_eval(args) -> int:
             raise ValueError("--classify needs --train and --test datasets")
         train = fileio.dataset_from_csv(args.train)
         test = fileio.dataset_from_csv(args.test)
-        full = plugin_classifier_train(train, np.eye(train.dim)).score(test)
+        full = plugin_classifier_train(train, None).score(test)
         records = [{"method": "full", "r": train.dim, "accuracy": full}]
         records += [{"file": Path(fname).name, "method": proj.method, "r": proj.r,
                      "accuracy": plugin_classifier_train(train, proj.in_original_frame()).score(test)}

@@ -154,18 +154,21 @@ def pairwise_preservation(params: list[GaussianParams], a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PluginClassifier:
-    """Quadratic decision rule from per-class Gaussians fit in the reduced space."""
+    """Quadratic decision rule from per-class Gaussians fit in the reduced space, or in
+    the original space when ``projection`` is None."""
 
-    projection: np.ndarray
+    projection: np.ndarray | None
     labels: np.ndarray
     class_params: tuple
     priors: np.ndarray
 
     def predict(self, x) -> np.ndarray:
         """Most probable class label for each row of x (original space)."""
-        x = _as_points(np.atleast_2d(x), self.projection.shape[1])
-        with np.errstate(over="ignore", invalid="ignore"):  # log_density refuses what overflows
-            z = x @ self.projection.T
+        a = self.projection
+        z = _as_points(np.atleast_2d(x), self.class_params[0].dim if a is None else a.shape[1])
+        if a is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # log_density refuses what overflows
+                z = z @ a.T
         scores = np.column_stack(
             [log_density(p, z) + np.log(prior) for p, prior in zip(self.class_params, self.priors)]
         )
@@ -179,11 +182,13 @@ class PluginClassifier:
 def plugin_classifier_train(train: LabeledDataset, a) -> PluginClassifier:
     """Fit per-class Gaussians and empirical priors in the projected space.
 
-    Each class needs more than r + 1 samples so its projected covariance has
-    a chance of being nonsingular.
+    ``a`` None fits them in the original space, with no projection to apply;
+    for finite samples that is what the identity rows give, without their
+    check and product.  Each class needs more than r + 1 samples so its
+    projected covariance has a chance of being nonsingular.
     """
-    a = check_rows(a, train.dim)
-    r = a.shape[0]
+    a = None if a is None else check_rows(a, train.dim)
+    r = train.dim if a is None else a.shape[0]
     labels = train.class_labels
     counts = np.array([np.count_nonzero(train.labels == lab) for lab in labels])
     for lab, count in zip(labels, counts):
@@ -191,7 +196,7 @@ def plugin_classifier_train(train: LabeledDataset, a) -> PluginClassifier:
             raise InsufficientSamples(
                 f"class {lab} has {count} samples; need more than {r + 1}"
             )
-    projected = LabeledDataset(train.samples @ a.T, train.labels)
+    projected = train if a is None else LabeledDataset(train.samples @ a.T, train.labels)
     class_params = tuple(estimate_params(projected, int(lab)) for lab in labels)
     return PluginClassifier(a, labels, class_params, counts / counts.sum())
 

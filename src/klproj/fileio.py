@@ -2,10 +2,15 @@
 
 JSON floats take Python's shortest round-trip form and CSV floats take 17
 significant digits; both parse back to the same float64.  Every write is
-atomic (temp file + rename in the destination directory).  JSON objects are
-emitted with sorted keys so the same in-memory record always produces the
-same bytes; rerunning a seeded command therefore reproduces its artifacts
-byte for byte.
+atomic (temp file + rename in the destination directory) and leaves the file
+with the mode the umask gives a new file.  JSON objects are emitted with
+sorted keys so the same in-memory record always produces the same bytes;
+rerunning a seeded command therefore reproduces its artifacts byte for byte.
+
+A table larger than one staging buffer is formatted as one contiguous row
+range per usable CPU: the first in this process, each other in a forked
+child that writes it to an unlinked file, appended in order.  The bytes do
+not depend on how many ranges there were.
 
 A dataset CSV gets a twin beside it: ``<csv name>.<sha256 of the CSV's
 bytes>.npy``, the float64 table that parsing the CSV returns.  ``read_csv``
@@ -15,18 +20,20 @@ is a cache of it that is safe to delete.
 """
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
 import re
+import signal
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, KlprojError
 from .gaussian import GaussianParams, LabeledDataset
 from .projections import FRAME_ORIGINAL, FRAME_WHITENED, ProjectionResult
 
@@ -51,9 +58,27 @@ def dumps_json(obj) -> str:
 
 
 @contextlib.contextmanager
+def naming(path):
+    """Prefix ``path`` to every typed error raised in the block, keeping its type and
+    exit code."""
+    try:
+        yield
+    except KlprojError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _umask_mode() -> int:
+    """The mode ``open`` gives a new file: 0o666 less the process umask."""
+    umask = os.umask(0o077)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+@contextlib.contextmanager
 def _atomic_handle(path, binary=False):
     """A UTF-8 text (or binary) handle on a temp file that replaces ``path`` once the
-    block succeeds."""
+    block succeeds, with the mode the umask gives a new file (mkstemp's is 0600)."""
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -63,6 +88,7 @@ def _atomic_handle(path, binary=False):
     try:
         with os.fdopen(fd, "wb" if binary else "w", **text) as handle:
             yield handle
+        os.chmod(tmp, _umask_mode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -100,6 +126,60 @@ def _row_blocks(columns, rows: int, dtype):
         yield filled
 
 
+def _append(part, handle) -> None:
+    """Copy binary file ``part``, whole, to the end of ``handle``'s file inside the kernel."""
+    size, offset = os.fstat(part.fileno()).st_size, 0
+    while copied := os.copy_file_range(part.fileno(), handle.fileno(), size - offset, offset):
+        offset += copied
+
+
+def _fork_range(path: Path, format_range, lo: int, hi: int):
+    """(pid, part): a forked child that formats rows ``lo:hi`` into ``part``, an unlinked
+    temp file beside ``path``, and exits 0, or 1 if formatting raised.  The child leaves
+    through os._exit, so it never flushes or cleans up what it inherited."""
+    part = tempfile.TemporaryFile(dir=path.parent)
+    try:
+        pid = os.fork()
+    except BaseException:
+        part.close()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            with open(part.fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as out:
+                format_range(out, lo, hi)
+            status = 0
+        finally:
+            os._exit(status)
+    return pid, part
+
+
+def _write_ranges(handle, path: Path, format_range, bounds: list) -> None:
+    """Format rows ``bounds[0]:bounds[1]`` into text ``handle`` here and each later range
+    in a forked child, then append the children's parts in order.  Every child is reaped
+    before this returns or raises; a child that failed is an OSError naming ``path``."""
+    handle.flush()  # a child inherits no buffered text
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_range(path, format_range, lo, hi))
+        format_range(handle, bounds[0], bounds[1])
+        handle.flush()
+        while children:
+            pid, part = children[0]
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            with part:
+                if status:
+                    raise OSError(errno.EIO, "formatting rows in a child process failed", str(path))
+                _append(part, handle)
+    finally:
+        for pid, part in children:  # left by an error or an interrupt
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            part.close()
+
+
 def write_csv(path, header: list, columns) -> None:
     """Write a table given as equal-length columns, one per header name.
 
@@ -109,17 +189,33 @@ def write_csv(path, header: list, columns) -> None:
     np.savetxt's: the columns fill one reused buffer of about _CSV_CELLS
     cells at a time, never an n x k table, formatted in blocks of about 256
     cells per ``%``.
+
+    A table that fills more than one buffer is split into contiguous row
+    ranges, one per usable CPU (os.sched_getaffinity) and at most one per
+    buffer.  This process formats the first range; each other range is
+    formatted by a forked child into an unlinked file beside ``path`` and
+    appended in order with os.copy_file_range, before the rename.  The bytes
+    are the same for any number of ranges.
     """
+    path = Path(path)
     columns = [np.asarray(column) for column in columns]
     fmt = [_CSV_FORMATS[column.dtype.kind] for column in columns]
     row, size = ",".join(fmt), max(1, 256 // len(fmt))
     rows = size * max(1, _CSV_CELLS // (size * len(fmt)))  # whole format blocks
-    with _atomic_handle(path) as handle:
-        handle.write(",".join(header) + "\n")
-        for filled in _row_blocks(columns, rows, object if "%s" in fmt else float):
+    dtype = object if "%s" in fmt else float
+
+    def format_range(handle, lo, hi):
+        for filled in _row_blocks([column[lo:hi] for column in columns], rows, dtype):
             for at in range(0, len(filled), size):
                 block = filled[at:at + size]
                 handle.write(("\n".join([row] * len(block)) + "\n") % tuple(block.ravel().tolist()))
+
+    n = len(columns[0])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cpus, -(-n // rows)))
+    with _atomic_handle(path) as handle:
+        handle.write(",".join(header) + "\n")
+        _write_ranges(handle, path, format_range, [n * i // parts for i in range(parts + 1)])
 
 
 def _twin(path: Path, handle) -> Path:
@@ -318,7 +414,9 @@ def dataset_to_csv(path, data: LabeledDataset) -> None:
 
 
 def dataset_from_csv(path) -> LabeledDataset:
+    """The labeled dataset in a CSV; every typed error names the file."""
     header, table = read_csv(path)
-    if header[-1] != "label":
-        raise DimensionMismatch(f"{path}: expected a trailing 'label' column, got {header[-3:]}")
-    return LabeledDataset(table[:, :-1], table[:, -1])
+    with naming(path):
+        if header[-1] != "label":
+            raise DimensionMismatch(f"expected a trailing 'label' column, got {header[-3:]}")
+        return LabeledDataset(table[:, :-1], table[:, -1])

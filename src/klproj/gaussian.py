@@ -121,6 +121,9 @@ class LabeledDataset:
             rounded = np.rint(y)
             if not np.array_equal(rounded, y):
                 raise DimensionMismatch("labels must be integers")
+            huge = np.abs(y) >= 2.0**53  # where float64 stops telling integers apart
+            if huge.any():
+                raise DimensionMismatch(f"labels must be below 2**53 in magnitude, got {y[huge][0]:g}")
             y = rounded.astype(np.int64)
         object.__setattr__(self, "samples", x.copy())
         object.__setattr__(self, "labels", y.copy())

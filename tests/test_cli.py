@@ -488,8 +488,10 @@ class TestMalformedInput:
         b"f0,f1,label\n#1.0,2.0,1\n2.0,3.0,2\n",
         b"\xff\xfe",
         b"f0,label\n\xff,1\n",
+        b"f0,label\n1.0,1\n2.0,1.5\n",
+        b"f0,label\n1.0,1\n2.0,1e300\n",
     ], ids=["non-numeric-cell", "ragged-row", "header-width", "header-only", "hash-row",
-            "not-utf8-header", "not-utf8-row"])
+            "not-utf8-header", "not-utf8-row", "fractional-label", "huge-label"])
     def test_malformed_dataset_csv(self, tmp_path, capsys, body):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(body)

@@ -274,6 +274,22 @@ class TestPluginClassifier:
             with pytest.raises(NonFiniteInput):
                 clf.predict(np.array([[0.0, 0.0, 0.0], row]))
 
+    def test_unprojected_baseline_matches_the_identity_rows(self):
+        # the full-space baseline of eval --classify: no rows, no product, the same bits
+        p1, p2 = random_class_params(6, 0.5, 4.0, 1.0, 761), random_class_params(6, 0.5, 4.0, 1.0, 762)
+        train = LabeledDataset(np.vstack([sample(p1, 80, 763), sample(p2, 60, 764)]),
+                               np.repeat([1, 2], [80, 60]))
+        test = np.vstack([sample(p1, 50, 765), sample(p2, 50, 766)])
+        direct, identity = plugin_classifier_train(train, None), plugin_classifier_train(train, np.eye(6))
+        assert direct.projection is None
+        for ours, theirs in zip(direct.class_params, identity.class_params):
+            assert ours.mean.tobytes() == theirs.mean.tobytes()
+            assert ours.covariance.tobytes() == theirs.covariance.tobytes()
+        np.testing.assert_array_equal(direct.priors, identity.priors)
+        np.testing.assert_array_equal(direct.predict(test), identity.predict(test))
+        with pytest.raises(DimensionMismatch):
+            direct.predict(np.zeros((2, 5)))
+
     def test_priors_reflect_imbalance(self):
         p1 = GaussianParams(np.zeros(2), np.eye(2))
         p2 = GaussianParams(np.ones(2), np.eye(2))

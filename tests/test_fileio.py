@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
 import tracemalloc
 
@@ -181,6 +182,115 @@ class TestCsv:
         assert (tmp_path / "refilled.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
+def _savetxt_bytes(header, columns, fmt):
+    table = np.array(columns, dtype=object).T if "%s" in fmt else np.array(columns, float).T
+    expect = io.BytesIO()
+    np.savetxt(expect, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+    return expect.getvalue()
+
+
+def _no_fork():
+    raise AssertionError("os.fork was called")
+
+
+class TestForkedRanges:
+    """Tables larger than one staging buffer: one row range per usable CPU, forked."""
+
+    # 1500 rows of a float, an int and a string column; with 99 cells, 18 fills of an 85-row buffer
+    header = ["kld", "r", "method"]
+    columns = [np.resize(_hard_floats(6), 1500), np.arange(1500) % 20 + 1,
+               np.repeat(["alg1", "lol"], 750)]
+    fmt = ["%.17g", "%d", "%s"]
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        """The pids os.fork returns to the parent."""
+        pids, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(fileio, "_CSV_CELLS", 99)
+        return pids
+
+    @staticmethod
+    def fail_in(monkeypatch, where):
+        """Make the staging buffer's fill raise in the parent or in a child."""
+        parent, row_blocks = os.getpid(), fileio._row_blocks
+
+        def failing(*args):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise RuntimeError(f"formatting failed in the {where}")
+            return row_blocks(*args)
+        monkeypatch.setattr(fileio, "_row_blocks", failing)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 64])
+    def test_parts_keep_savetxt_bytes(self, tmp_path, monkeypatch, forks, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        path = tmp_path / "t.csv"
+        write_csv(path, self.header, self.columns)
+        assert path.read_bytes() == _savetxt_bytes(self.header, self.columns, self.fmt)
+        assert len(forks) == min(cpus, 18) - 1  # never more ranges than buffer fills
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    @pytest.mark.parametrize("affinity", ["one-cpu", "unknown"])
+    def test_one_range_never_forks(self, tmp_path, monkeypatch, affinity):
+        if affinity == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "fork", _no_fork)
+        monkeypatch.setattr(fileio, "_CSV_CELLS", 99)
+        path = tmp_path / "t.csv"
+        write_csv(path, self.header, self.columns)
+        assert path.read_bytes() == _savetxt_bytes(self.header, self.columns, self.fmt)
+
+    def test_table_in_one_buffer_never_forks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(os, "fork", _no_fork)
+        path = tmp_path / "t.csv"
+        write_csv(path, self.header, self.columns)  # 4500 cells
+        assert path.read_bytes() == _savetxt_bytes(self.header, self.columns, self.fmt)
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_failure_leaves_the_old_file_and_no_child(self, tmp_path, monkeypatch, forks, where):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        path = tmp_path / "t.csv"
+        path.write_text("old\n")
+        self.fail_in(monkeypatch, where)
+        with pytest.raises(OSError if where == "child" else RuntimeError) as failure:
+            write_csv(path, self.header, self.columns)
+        if where == "child":
+            assert str(path) in str(failure.value)
+        assert len(forks) == 2
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]  # no *.tmp left
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_artifacts_take_the_umask_mode(self, tmp_path, monkeypatch, forks, umask, mode):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        data = LabeledDataset(np.random.default_rng(931).standard_normal((100, 2)),
+                              np.repeat([1, 2], 50))
+        old = os.umask(umask)
+        try:
+            write_json(tmp_path / "r.json", {"v": 1})
+            write_csv(tmp_path / "t.csv", self.header, self.columns)
+            dataset_to_csv(tmp_path / "d.csv", data)
+        finally:
+            os.umask(old)
+        assert len(forks) == 2  # the table and the dataset were split
+        (twin,) = _twins_of(tmp_path / "d.csv")
+        for path in (tmp_path / "r.json", tmp_path / "t.csv", tmp_path / "d.csv", twin):
+            assert os.stat(path).st_mode & 0o777 == mode, path.name
+
+
 class TestParamsRecord:
     def test_round_trip(self):
         p = random_class_params(4, 0.5, 3.0, 1.0, 821)
@@ -274,6 +384,23 @@ class TestDatasetCsv:
         path.write_text("f0,f1\n1.0,2.0\n")
         with pytest.raises(DimensionMismatch):
             dataset_from_csv(path)
+
+    @pytest.mark.parametrize("label, message", [
+        (1.5, "labels must be integers"),
+        (1e300, "labels must be below 2**53 in magnitude, got 1e+300"),
+        (np.inf, "labels must be below 2**53 in magnitude, got inf"),
+    ], ids=["fractional", "huge", "infinite"])
+    def test_label_errors_name_the_file(self, tmp_path, label, message):
+        data = LabeledDataset(np.random.default_rng(941).standard_normal((6, 2)),
+                              np.repeat([1, 2], 3))
+        path = tmp_path / "d.csv"
+        dataset_to_csv(path, data)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + f",{label!r}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DimensionMismatch) as refused:
+            dataset_from_csv(path)
+        assert str(refused.value) == f"{path}: {message}"
 
 
 def _twins_of(path):

@@ -464,3 +464,16 @@ class TestLabeledDataset:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             LabeledDataset(np.zeros((3, 2)), np.array([1, 2]))
+
+    @pytest.mark.parametrize("label", [2.0**53, -2.0**53, 1e300, -np.inf],
+                             ids=["2**53", "-2**53", "1e300", "-inf"])
+    def test_labels_at_or_beyond_2_53_rejected_before_the_cast(self, label):
+        # float64 cannot tell such labels apart; the int64 cast of 1e300 warned and wrapped
+        x = np.random.default_rng(951).standard_normal((4, 2))
+        with pytest.raises(DimensionMismatch, match=r"below 2\*\*53 in magnitude"):
+            LabeledDataset(x, np.array([1.0, 2.0, 1.0, label]))
+
+    def test_labels_below_2_53_kept_exactly(self):
+        x = np.random.default_rng(952).standard_normal((3, 2))
+        data = LabeledDataset(x, np.array([2.0**53 - 1, -(2.0**53 - 1), 0.0]))
+        assert data.labels.tolist() == [2**53 - 1, -(2**53 - 1), 0]
