@@ -8,9 +8,10 @@ sorted keys so the same in-memory record always produces the same bytes;
 rerunning a seeded command therefore reproduces its artifacts byte for byte.
 
 A table larger than one staging buffer is formatted as one contiguous row
-range per usable CPU: the first in this process, each other in a forked
-child that writes it to an unlinked file, appended in order.  The bytes do
-not depend on how many ranges there were.
+range per usable CPU (the affinity set, less any cgroup CPU quota): the
+first in this process, each other in a forked child that writes it to an
+unlinked file, appended in order.  The bytes do not depend on how many
+ranges there were.
 
 A dataset CSV gets a twin beside it: ``<csv name>.<sha256 of the CSV's
 bytes>.npy``, the float64 table that parsing the CSV returns.  ``read_csv``
@@ -28,6 +29,7 @@ import os
 import re
 import signal
 import tempfile
+import traceback
 import warnings
 from pathlib import Path
 
@@ -45,6 +47,10 @@ _CSV_CELLS = 1 << 16
 
 # Bytes per read while hashing a CSV for its twin.
 _HASH_CHUNK = 1 << 18
+
+# The kernel's list of this process's cgroups, and where cgroup controllers are mounted.
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
 
 
 def _plain(obj):
@@ -133,25 +139,82 @@ def _append(part, handle) -> None:
         offset += copied
 
 
-def _fork_range(path: Path, format_range, lo: int, hi: int):
-    """(pid, part): a forked child that formats rows ``lo:hi`` into ``part``, an unlinked
-    temp file beside ``path``, and exits 0, or 1 if formatting raised.  The child leaves
-    through os._exit, so it never flushes or cleans up what it inherited."""
+def _cpu_quota(directory: Path):
+    """The CPUs' worth of time per period that the cgroup at ``directory`` grants, from
+    v2's cpu.max or v1's cpu.cfs_quota_us and cpu.cfs_period_us; None if it sets none."""
+    for names in (("cpu.max",), ("cpu.cfs_quota_us", "cpu.cfs_period_us")):
+        try:
+            quota, period = " ".join((directory / name).read_text() for name in names).split()
+            return int(quota) / int(period) if int(quota) > 0 else None
+        except (OSError, ValueError):  # no such file, or v2's "max": no quota here
+            continue
+    return None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process can run on at once: its affinity set, capped by the least
+    CPU quota (rounded down, at least 1) of its cgroups and their ancestors.  1 where
+    the affinity set is unknown."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    try:
+        groups = Path(_PROC_CGROUP).read_text().splitlines()
+    except OSError:
+        return cpus
+    for line in groups:  # "<id>:<controllers>:<path>"; v2's line has no controllers
+        _, controllers, group = line.split(":", 2)
+        if controllers and "cpu" not in controllers.split(","):
+            continue
+        base = _CGROUP_ROOT / controllers
+        directory = base / group.lstrip("/")
+        for parent in (directory, *directory.parents):
+            quota = _cpu_quota(parent)
+            if quota is not None:
+                cpus = min(cpus, max(1, int(quota)))
+            if parent == base:
+                break
+    return cpus
+
+
+@contextlib.contextmanager
+def _interrupts_held():
+    """Defer SIGINT through the block, so that a KeyboardInterrupt cannot fall between
+    starting or reaping a child and recording it."""
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+
+
+def _fork_range(path: Path, format_range, lo: int, hi: int, children: list) -> None:
+    """Append (pid, part) to ``children``: a forked child that formats rows ``lo:hi``
+    into ``part``, an unlinked temp file beside ``path``, and exits 0, or writes its
+    traceback to fd 2 and exits 1 if formatting raised.  The child keeps SIGINT held,
+    since its parent ends it, and leaves through os._exit, so it never flushes or
+    cleans up what it inherited."""
     part = tempfile.TemporaryFile(dir=path.parent)
     try:
-        pid = os.fork()
+        with _interrupts_held():
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    with open(part.fileno(), "w", encoding="utf-8", newline="\n",
+                              closefd=False) as out:
+                        format_range(out, lo, hi)
+                    status = 0
+                except BaseException:
+                    os.write(2, f"formatting rows {lo}:{hi} of {path} failed:\n"
+                                f"{traceback.format_exc()}".encode(errors="replace"))
+                finally:
+                    os._exit(status)
+            children.append((pid, part))
     except BaseException:
         part.close()
         raise
-    if pid == 0:
-        status = 1
-        try:
-            with open(part.fileno(), "w", encoding="utf-8", newline="\n", closefd=False) as out:
-                format_range(out, lo, hi)
-            status = 0
-        finally:
-            os._exit(status)
-    return pid, part
 
 
 def _write_ranges(handle, path: Path, format_range, bounds: list) -> None:
@@ -162,21 +225,25 @@ def _write_ranges(handle, path: Path, format_range, bounds: list) -> None:
     children = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_range(path, format_range, lo, hi))
+            _fork_range(path, format_range, lo, hi, children)
         format_range(handle, bounds[0], bounds[1])
         handle.flush()
         while children:
             pid, part = children[0]
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # interruptible, reaps nothing
             with part:
+                with _interrupts_held():
+                    status = os.waitpid(pid, 0)[1]
+                    del children[0]
                 if status:
                     raise OSError(errno.EIO, "formatting rows in a child process failed", str(path))
                 _append(part, handle)
     finally:
-        for pid, part in children:  # left by an error or an interrupt
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        while children:  # left by an error or an interrupt
+            with _interrupts_held():
+                pid, part = children.pop()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
             part.close()
 
 
@@ -191,11 +258,12 @@ def write_csv(path, header: list, columns) -> None:
     cells per ``%``.
 
     A table that fills more than one buffer is split into contiguous row
-    ranges, one per usable CPU (os.sched_getaffinity) and at most one per
-    buffer.  This process formats the first range; each other range is
-    formatted by a forked child into an unlinked file beside ``path`` and
-    appended in order with os.copy_file_range, before the rename.  The bytes
-    are the same for any number of ranges.
+    ranges, one per usable CPU (see _usable_cpus) and at most one per buffer,
+    so that each range repays its fork many times over.  This process formats
+    the first range; each other range is formatted by a forked child into an
+    unlinked file beside ``path`` and appended in order with
+    os.copy_file_range, before the rename.  The bytes are the same for any
+    number of ranges.
     """
     path = Path(path)
     columns = [np.asarray(column) for column in columns]
@@ -211,8 +279,7 @@ def write_csv(path, header: list, columns) -> None:
                 handle.write(("\n".join([row] * len(block)) + "\n") % tuple(block.ravel().tolist()))
 
     n = len(columns[0])
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = max(1, min(cpus, -(-n // rows)))
+    parts = max(1, min(_usable_cpus(), -(-n // rows)))
     with _atomic_handle(path) as handle:
         handle.write(",".join(header) + "\n")
         _write_ranges(handle, path, format_range, [n * i // parts for i in range(parts + 1)])

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import shutil
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -202,6 +204,11 @@ class TestForkedRanges:
                np.repeat(["alg1", "lol"], 750)]
     fmt = ["%.17g", "%d", "%s"]
 
+    @pytest.fixture(autouse=True)
+    def no_cgroups(self, monkeypatch, tmp_path):
+        """The patched affinity set alone counts, whatever quota the host sets."""
+        monkeypatch.setattr(fileio, "_PROC_CGROUP", str(tmp_path / "no-cgroup"))
+
     @pytest.fixture()
     def forks(self, monkeypatch):
         """The pids os.fork returns to the parent."""
@@ -217,15 +224,21 @@ class TestForkedRanges:
         return pids
 
     @staticmethod
-    def fail_in(monkeypatch, where):
-        """Make the staging buffer's fill raise in the parent or in a child."""
+    def fail_in(monkeypatch, where, failure=RuntimeError):
+        """Make the staging buffer's fill raise ``failure`` in the parent or in a child."""
         parent, row_blocks = os.getpid(), fileio._row_blocks
 
         def failing(*args):
             if (os.getpid() == parent) == (where == "parent"):
-                raise RuntimeError(f"formatting failed in the {where}")
+                raise failure(f"formatting failed in the {where}")
             return row_blocks(*args)
         monkeypatch.setattr(fileio, "_row_blocks", failing)
+
+    @staticmethod
+    def assert_no_child_and_sigint_free():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
     @pytest.mark.parametrize("cpus", [2, 3, 64])
     def test_parts_keep_savetxt_bytes(self, tmp_path, monkeypatch, forks, cpus):
@@ -270,8 +283,51 @@ class TestForkedRanges:
         assert len(forks) == 2
         assert path.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]  # no *.tmp left
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        self.assert_no_child_and_sigint_free()
+
+    def test_child_failure_prints_its_traceback(self, tmp_path, monkeypatch, capfd, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        self.fail_in(monkeypatch, "child", ValueError)
+        with pytest.raises(OSError):
+            write_csv(tmp_path / "t.csv", self.header, self.columns)
+        err = capfd.readouterr().err
+        assert f"formatting rows 750:1500 of {tmp_path / 't.csv'} failed:" in err
+        assert "Traceback" in err and "ValueError: formatting failed in the child" in err
+
+    @pytest.mark.parametrize("delay", [None, 0, 0.3], ids=["in-parent", "at-once", "later"])
+    def test_interrupt_reaps_every_child(self, tmp_path, monkeypatch, forks, delay):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        path = tmp_path / "t.csv"
+        path.write_text("old\n")
+        if delay is None:
+            self.fail_in(monkeypatch, "parent", KeyboardInterrupt)
+        else:  # each child sends its parent SIGINT, then outlasts the parent's range
+            parent, row_blocks = os.getpid(), fileio._row_blocks
+
+            def interrupting(*args):
+                if os.getpid() != parent:
+                    time.sleep(delay)
+                    os.kill(parent, signal.SIGINT)
+                    time.sleep(30)
+                return row_blocks(*args)
+            monkeypatch.setattr(fileio, "_row_blocks", interrupting)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            write_csv(path, self.header, self.columns)
+        assert time.monotonic() - started < 10  # the children were killed, not awaited
+        assert len(forks) == 2
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+        self.assert_no_child_and_sigint_free()
+
+    def test_cpu_quota_of_one_never_forks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        _cgroups(tmp_path, monkeypatch, "0::/job\n", {"job/cpu.max": "100000 100000\n"})
+        monkeypatch.setattr(os, "fork", _no_fork)
+        monkeypatch.setattr(fileio, "_CSV_CELLS", 99)
+        path = tmp_path / "t.csv"
+        write_csv(path, self.header, self.columns)
+        assert path.read_bytes() == _savetxt_bytes(self.header, self.columns, self.fmt)
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
     def test_artifacts_take_the_umask_mode(self, tmp_path, monkeypatch, forks, umask, mode):
@@ -289,6 +345,42 @@ class TestForkedRanges:
         (twin,) = _twins_of(tmp_path / "d.csv")
         for path in (tmp_path / "r.json", tmp_path / "t.csv", tmp_path / "d.csv", twin):
             assert os.stat(path).st_mode & 0o777 == mode, path.name
+
+
+def _cgroups(tmp_path, monkeypatch, listing, files):
+    """A fake /proc/self/cgroup holding ``listing`` and a cgroup mount holding ``files``."""
+    (tmp_path / "cgroup").write_text(listing)
+    for name, text in files.items():
+        (tmp_path / "mnt" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "mnt" / name).write_text(text)
+    monkeypatch.setattr(fileio, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+    monkeypatch.setattr(fileio, "_CGROUP_ROOT", tmp_path / "mnt")
+
+
+class TestUsableCpus:
+    """The affinity set, capped by the least CPU quota of the process's cgroups."""
+
+    @pytest.mark.parametrize("listing, files, cpus", [
+        ("0::/a/b\n", {"a/b/cpu.max": "max 100000\n", "a/cpu.max": "250000 100000\n"}, 2),
+        ("0::/a\n", {"a/cpu.max": "150000 100000\n", "cpu.max": "400000 100000\n"}, 1),
+        ("0::/a\n", {"a/cpu.max": "50000 100000\n"}, 1),
+        ("0::/\n", {"cpu.max": "max 100000\n"}, 8),
+        # v1 seen from a container without its own cgroup namespace: only the mount's root exists
+        ("5:memory:/x\n4:cpu,cpuacct:/docker/x\n",
+         {"cpu,cpuacct/cpu.cfs_quota_us": "300000\n", "cpu,cpuacct/cpu.cfs_period_us": "100000\n"}, 3),
+        ("4:cpu,cpuacct:/\n",
+         {"cpu,cpuacct/cpu.cfs_quota_us": "-1\n", "cpu,cpuacct/cpu.cfs_period_us": "100000\n"}, 8),
+        ("5:memory:/\n", {"memory/cpu.max": "100000 100000\n"}, 8),
+    ], ids=["v2-ancestor", "v2-floor", "v2-below-one", "v2-max", "v1-root", "v1-none", "other"])
+    def test_quota_caps_the_affinity_set(self, tmp_path, monkeypatch, listing, files, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        _cgroups(tmp_path, monkeypatch, listing, files)
+        assert fileio._usable_cpus() == cpus
+
+    def test_no_cgroup_listing_leaves_the_affinity_set(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
+        monkeypatch.setattr(fileio, "_PROC_CGROUP", str(tmp_path / "missing"))
+        assert fileio._usable_cpus() == 5
 
 
 class TestParamsRecord:
