@@ -120,7 +120,9 @@ def cmd_gen(args) -> int:
     if channel is not None:
         _write_json(out / "channel.json", channel)
     for i, p in enumerate(classes, start=1):
-        _write_json(out / f"params_class{i}.json", fileio.params_to_dict(p, config=config))
+        path = out / f"params_class{i}.json"
+        fileio.write_params(path, p, config)
+        print(f"wrote {path}")
 
     for name, count, per_class_seeds in (
         ("dataset.csv", args.n, train_seeds),
@@ -149,10 +151,11 @@ def _load_classes(args) -> list[GaussianParams]:
     if args.params and args.dataset:
         raise ValueError("pass either --params or --dataset, not both")
     if args.params:
-        plist = [_read_record(p, fileio.params_from_dict) for p in args.params]
+        plist = [fileio.read_params(p) for p in args.params]
     elif args.dataset:
         data = fileio.dataset_from_csv(args.dataset)
-        plist = [estimate_params(data, int(lab), args.ridge) for lab in data.class_labels]
+        with fileio.naming(args.dataset):
+            plist = [estimate_params(data, int(lab), args.ridge) for lab in data.class_labels]
     else:
         raise ValueError("one of --params or --dataset is required")
     return plist[::-1] if getattr(args, "swap", False) else plist
@@ -162,7 +165,8 @@ def _load_pair(args) -> list[GaussianParams]:
     """``_load_classes`` for the commands that compare exactly 2 classes."""
     plist = _load_classes(args)
     if len(plist) != 2:
-        raise ValueError(f"{args.command} compares exactly 2 classes, got {len(plist)}")
+        source = f"{args.dataset}: " if args.dataset else ""  # its labels name the classes
+        raise ValueError(f"{source}{args.command} compares exactly 2 classes, got {len(plist)}")
     return plist
 
 

@@ -13,17 +13,21 @@ first in this process, each other in a forked child that writes it to an
 unlinked file, appended in order.  The bytes do not depend on how many
 ranges there were.
 
-A dataset CSV gets a twin beside it: ``<csv name>.<sha256 of the CSV's
-bytes>.npy``, the float64 table that parsing the CSV returns.  ``read_csv``
-loads the twin whose name holds the CSV's digest instead of parsing; any
-other CSV, edited or foreign, is parsed.  The CSV stays the format; a twin
-is a cache of it that is safe to delete.
+A params record (write_params) and a dataset CSV (dataset_to_csv) get a twin
+beside them: the float64 table that parsing the file returns, as a C-order
+.npy named ``<file name>.<sha256 of the file>.<sha256 of the twin>.npy``.
+The first digest ties the twin to the file's bytes, so an edited or foreign
+file is parsed; the second guards the twin's own bytes, so a damaged twin is
+ignored.  read_params and read_csv load a twin whose bytes hash to both
+digests instead of parsing, and parse in every other case.  The file stays
+the format; a twin is a cache of it that is safe to delete.
 """
 
 import contextlib
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -42,11 +46,16 @@ from .projections import FRAME_ORIGINAL, FRAME_WHITENED, ProjectionResult
 # CSV cell format per numpy dtype kind; %.17g round-trips float64 bit-exactly.
 _CSV_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
 
-# Cells of write_csv's staging buffer, and of a twin's.
+# Cells of write_csv's staging buffer, and of a dataset twin's.
 _CSV_CELLS = 1 << 16
 
-# Bytes per read while hashing a CSV for its twin.
+# Bytes per read while hashing a file or its twin.
 _HASH_CHUNK = 1 << 18
+
+# The header dict of a twin, after the .npy 1.0 magic and the 2-byte header length: what
+# np.lib.format writes for a C-order '<f8' table, spaces and a newline closing it.
+_TWIN_HEADER = re.compile(
+    rb"\{'descr': '<f8', 'fortran_order': False, 'shape': \((\d+), (\d+)\), \} *\n")
 
 # The kernel's list of this process's cgroups, and where cgroup controllers are mounted.
 _PROC_CGROUP = "/proc/self/cgroup"
@@ -82,9 +91,10 @@ def _umask_mode() -> int:
 
 
 @contextlib.contextmanager
-def _atomic_handle(path, binary=False):
-    """A UTF-8 text (or binary) handle on a temp file that replaces ``path`` once the
-    block succeeds, with the mode the umask gives a new file (mkstemp's is 0600)."""
+def _atomic_handle(path, binary=False, final=None):
+    """A UTF-8 text (or binary) handle on a temp file beside ``path`` that replaces
+    ``path`` once the block succeeds, or the path ``final()`` then returns, with the mode
+    the umask gives a new file (mkstemp's is 0600)."""
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -95,7 +105,7 @@ def _atomic_handle(path, binary=False):
         with os.fdopen(fd, "wb" if binary else "w", **text) as handle:
             yield handle
         os.chmod(tmp, _umask_mode())
-        os.replace(tmp, path)
+        os.replace(tmp, path if final is None else final())
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -107,8 +117,11 @@ def atomic_write_text(path, text: str) -> None:
         handle.write(text)
 
 
-def write_json(path, obj) -> None:
-    atomic_write_text(path, dumps_json(obj))
+def write_json(path, obj) -> str:
+    """Write ``obj`` as JSON (see dumps_json) and return the text written."""
+    text = dumps_json(obj)
+    atomic_write_text(path, text)
+    return text
 
 
 def read_json(path):
@@ -238,13 +251,21 @@ def _write_ranges(handle, path: Path, format_range, bounds: list) -> None:
                 if status:
                     raise OSError(errno.EIO, "formatting rows in a child process failed", str(path))
                 _append(part, handle)
-    finally:
-        while children:  # left by an error or an interrupt
-            with _interrupts_held():
-                pid, part = children.pop()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            part.close()
+    finally:  # left by an error or an interrupt: kill, reap and close every child
+        interrupt = None
+        while children:  # a further interrupt restarts the work and is raised after it
+            try:
+                for pid, part in children[::-1]:
+                    with contextlib.suppress(ChildProcessError):  # reaped, not yet removed
+                        if os.waitpid(pid, os.WNOHANG)[0] == 0:  # running: its pid is its own
+                            os.kill(pid, signal.SIGKILL)
+                            os.waitpid(pid, 0)
+                    part.close()
+                    children.pop()
+            except KeyboardInterrupt as exc:
+                interrupt = exc
+        if interrupt is not None:
+            raise interrupt
 
 
 def write_csv(path, header: list, columns) -> None:
@@ -285,45 +306,88 @@ def write_csv(path, header: list, columns) -> None:
         _write_ranges(handle, path, format_range, [n * i // parts for i in range(parts + 1)])
 
 
-def _twin(path: Path, handle) -> Path:
-    """The twin's name for the CSV at ``path``, open on binary ``handle``:
-    ``<csv name>.<sha256 of its bytes>.npy``, hashed in chunks."""
+def _digest(handle) -> str:
+    """The SHA-256 hex digest of what is left to read on binary ``handle``, read in chunks."""
     sha = hashlib.sha256()
     while chunk := handle.read(_HASH_CHUNK):
         sha.update(chunk)
-    return path.with_name(f"{path.name}.{sha.hexdigest()}.npy")
+    return sha.hexdigest()
 
 
-def _twins(path: Path) -> list[Path]:
-    """The files beside a CSV named as its twins: ``<csv name>.<64 hex digits>.npy``."""
-    twin = re.compile(re.escape(path.name) + r"\.[0-9a-f]{64}\.npy")
-    return [path.parent / name for name in os.listdir(path.parent) if twin.fullmatch(name)]
+def _twins(path: Path) -> list[tuple[Path, str, str]]:
+    """The files beside ``path`` named as its twins, ``<file name>.<64 hex digits>.<64
+    hex digits>.npy``, each with the digests its name gives for the file and the twin."""
+    twin = re.compile(re.escape(path.name) + r"\.([0-9a-f]{64})\.([0-9a-f]{64})\.npy")
+    return [(path.parent / name, *match.groups()) for name in os.listdir(path.parent)
+            if (match := twin.fullmatch(name))]
+
+
+def _write_twin(path: Path, digest: str, shape: tuple, blocks) -> None:
+    """Write the twin of the file at ``path``, whose bytes hash to ``digest``: the float64
+    table of ``shape``, given as successive C-order float64 ``blocks``, as an .npy that is
+    hashed while it is written and renamed into place under both digests.  The file's
+    other twins are then deleted."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    sha = hashlib.sha256()
+    twin = lambda: path.with_name(f"{path.name}.{digest}.{sha.hexdigest()}.npy")
+    with _atomic_handle(path, binary=True, final=twin) as handle:
+        for block in itertools.chain([header.getvalue()], blocks):
+            sha.update(block)
+            handle.write(block)
+    for old, *_ in _twins(path):
+        if old != twin():
+            old.unlink(missing_ok=True)
+
+
+def _read_twin(twin: Path, digest: str):
+    """The 2-D float64 table in the .npy ``twin``, or None unless its header is one
+    _write_twin writes (see _TWIN_HEADER), its size is the table's, and its bytes hash to
+    ``digest``.  The header is matched, not evaluated, and the table's bytes are hashed
+    as they are read into the one array returned."""
+    try:
+        with open(twin, "rb") as npy:
+            head = npy.read(10)
+            if head[:8] != b"\x93NUMPY\x01\x00":
+                return None
+            head += npy.read(int.from_bytes(head[8:], "little"))
+            match = _TWIN_HEADER.fullmatch(head, 10)
+            if match is None:
+                return None
+            shape = tuple(int(size) for size in match.groups())
+            if os.fstat(npy.fileno()).st_size != len(head) + 8 * shape[0] * shape[1]:
+                return None
+            table, sha = np.empty(shape, "<f8"), hashlib.sha256(head)
+            rest = memoryview(table).cast("B")
+            while rest and (count := npy.readinto(rest[:_HASH_CHUNK])):
+                sha.update(rest[:count])
+                rest = rest[count:]
+    except (OSError, ValueError):  # unreadable, or a size past int()'s digit limit
+        return None
+    return table if not rest and sha.hexdigest() == digest else None
 
 
 def _twin_table(path: Path, handle):
-    """The table of the twin named by the digest of the CSV open on binary ``handle``, or
-    None to parse the CSV: there is no such twin, or it is not a 2-D float64 .npy.  The
-    CSV is hashed only when some twin of it exists."""
+    """The table in a twin of the file at ``path``, open on binary ``handle``, or None to
+    parse the file: no twin is named by the digest of the file's bytes, or none such
+    verifies (see _read_twin).  The file is hashed only when some twin of it exists."""
     try:
         twins = _twins(path)
     except OSError:  # a directory that cannot be listed has no twins to offer
         return None
-    if not twins:
-        return None
-    twin = _twin(path, handle)
-    try:
-        with open(twin, "rb") as npy:
-            table = np.lib.format.read_array(npy, allow_pickle=False)
-    except (OSError, ValueError):  # no twin of these bytes, or not an .npy
-        return None
-    return table if table.dtype == np.float64 and table.ndim == 2 else None
+    digest = _digest(handle) if twins else None
+    for twin, of_file, of_twin in twins:
+        if of_file == digest and (table := _read_twin(twin, of_twin)) is not None:
+            return table
+    return None
 
 
 def read_csv(path) -> tuple[list, np.ndarray]:
     """Header names and the n x k float64 table of a numeric UTF-8 CSV, else a DimensionMismatch.
 
-    The table is the CSV's twin when one is named by the digest of the CSV's
-    bytes (see dataset_to_csv), else parsed; the same checks run on either.
+    The table is the CSV's verified twin (see dataset_to_csv) when it has as
+    many columns as the header, else parsed; the same checks run on either.
     """
     with open(path, "rb") as raw:
         table = _twin_table(Path(path), raw)
@@ -333,13 +397,13 @@ def read_csv(path) -> tuple[list, np.ndarray]:
             header = handle.readline().strip()
             if not header:
                 raise DimensionMismatch(f"{path}: empty CSV file, expected a header line")
-            if table is None:
+            header = header.split(",")
+            if table is None or table.shape[1] != len(header):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # no data rows is reported below
                     table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
             raise DimensionMismatch(f"{path}: {exc}") from None
-    header = header.split(",")
     if table.size == 0:
         raise DimensionMismatch(f"{path}: no data rows below the header")
     if table.shape[1] != len(header):
@@ -383,6 +447,38 @@ def params_from_dict(record: dict) -> GaussianParams:
         raise DimensionMismatch(f"gaussian_params record dim={record['dim']!r} disagrees with "
                                 f"its {mean.size}-vector mean")
     return GaussianParams(mean, cov)
+
+
+def write_params(path, p: GaussianParams, config: dict | None = None) -> None:
+    """Write ``p`` as a gaussian_params JSON record (see params_to_dict), then its twin.
+
+    The twin holds the (d+1) x d float64 table [mean; covariance] that parsing
+    the record gives, bit for bit, since JSON floats take the shortest
+    round-trip form.  It is named by the digest of the JSON text written, so
+    the record is not read back (see _write_twin).
+    """
+    path = Path(path)
+    text = write_json(path, params_to_dict(p, config))
+    _write_twin(path, hashlib.sha256(text.encode()).hexdigest(), (p.dim + 1, p.dim),
+                (p.mean, p.covariance))
+
+
+def read_params(path) -> GaussianParams:
+    """The class parameters in a gaussian_params JSON file; every typed error names it.
+
+    The mean and covariance come from the file's twin when one verifies and
+    holds a (d+1) x d table (see write_params), else from parsing the record
+    (read_json, params_from_dict).  GaussianParams validates either.
+    """
+    path = Path(path)
+    with open(path, "rb") as raw:
+        table = _twin_table(path, raw)
+    if table is None or table.shape[0] != table.shape[1] + 1:
+        record = read_json(path)
+        with naming(path):
+            return params_from_dict(record)
+    with naming(path):
+        return GaussianParams(table[0], table[1:])
 
 
 def projection_to_dict(result: ProjectionResult, config: dict | None = None, **extras) -> dict:
@@ -458,26 +554,19 @@ def projection_from_dict(record: dict) -> ProjectionResult:
 def dataset_to_csv(path, data: LabeledDataset) -> None:
     """Write the dataset as a CSV (features f0.., then label), then its twin.
 
-    The twin ``<csv name>.<sha256 of the CSV's bytes>.npy`` holds the n x (d+1)
-    float64 table that parsing the CSV returns, bit for bit: %.17g round-trips
-    float64 and the labels are integers.  It is built from row blocks like the
-    CSV and written atomically once the CSV is in place; the CSV's older twins
-    are then deleted.
+    The twin holds the n x (d+1) float64 table that parsing the CSV returns,
+    bit for bit: %.17g round-trips float64 and the labels are integers.  It
+    is built from row blocks like the CSV and named by the digest of the CSV
+    as written (see _write_twin).
     """
     path = Path(path)
     header = [f"f{i}" for i in range(data.dim)] + ["label"]
     columns = [*data.samples.T, data.labels]
     write_csv(path, header, columns)
     with open(path, "rb") as handle:
-        twin = _twin(path, handle)
-    with _atomic_handle(twin, binary=True) as handle:
-        np.lib.format.write_array_header_1_0(
-            handle, {"descr": "<f8", "fortran_order": False, "shape": (len(data.labels), len(columns))})
-        for block in _row_blocks(columns, max(1, _CSV_CELLS // len(columns)), "<f8"):
-            handle.write(block)
-    for old in _twins(path):
-        if old != twin:
-            old.unlink(missing_ok=True)
+        digest = _digest(handle)
+    _write_twin(path, digest, (len(data.labels), len(columns)),
+                _row_blocks(columns, max(1, _CSV_CELLS // len(columns)), "<f8"))
 
 
 def dataset_from_csv(path) -> LabeledDataset:

@@ -56,6 +56,22 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def twin_of(path):
+    """The one twin of ``path``'s bytes, <file name>.<sha256 of the file>.<sha256 of the
+    twin>.npy, checked against both digests."""
+    (twin,) = path.parent.glob(f"{path.name}.{hashlib.sha256(path.read_bytes()).hexdigest()}.*.npy")
+    assert twin.suffixes[-2] == "." + hashlib.sha256(twin.read_bytes()).hexdigest()
+    return twin
+
+
+def flip_bit(twin, cell, bit=50):
+    """Flip bit ``bit`` of float64 cell ``cell`` (row-major) of the .npy ``twin``, keeping
+    its name."""
+    data = bytearray(twin.read_bytes())
+    data[len(data) - np.load(twin).nbytes + 8 * cell + bit // 8] ^= 1 << (bit % 8)
+    twin.write_bytes(bytes(data))
+
+
 def gen_direct(out_dir, seed=5, d=4, n=80, extra=()):
     code = run(["gen", "--d", d, "--n", n, "--seed", seed, "--out-dir", out_dir, *extra])
     assert code == 0
@@ -146,8 +162,8 @@ class TestGen:
         first = sorted(p.name for p in out.glob("*.npy"))
         gen_direct(out, seed=8, n=50, extra=["--n-test", "20"])
         twins = sorted(p.name for p in out.glob("*.npy"))
-        assert twins == sorted(f"{name}.{hashlib.sha256((out / name).read_bytes()).hexdigest()}.npy"
-                               for name in ("dataset.csv", "test.csv"))
+        names = ("dataset.csv", "test.csv", "params_class1.json", "params_class2.json")
+        assert twins == sorted(twin_of(out / name).name for name in names)
         assert not set(twins) & set(first)
 
     def test_missing_seed_is_usage_error(self, tmp_path, capsys):
@@ -346,6 +362,19 @@ class TestFit:
         assert records[0] == records[1]
         assert not list(copy.parent.glob("*.npy"))
 
+    @pytest.mark.parametrize("source", ["dataset", "params"])
+    def test_flipped_bit_in_a_twin_fits_from_the_parse(self, tmp_path, source):
+        # one high mantissa bit of a feature cell (dataset) or of a covariance cell (params)
+        out = gen_direct(tmp_path / "g", seed=23, n=200)
+        argv = (["--dataset", out / "dataset.csv", "--method", "alg2"] if source == "dataset"
+                else ["--params", out / "params_class1.json", out / "params_class2.json"])
+        proj = tmp_path / "proj.json"
+        assert run(["fit", *argv, "--r", 2, "--out", proj]) == 0
+        from_twin = proj.read_bytes()
+        flip_bit(twin_of(out / ("dataset.csv" if source == "dataset" else "params_class1.json")), 6)
+        assert run(["fit", *argv, "--r", 2, "--out", proj]) == 0
+        assert proj.read_bytes() == from_twin
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_lol_fits_covariances_near_the_float_limit(self, tmp_path, seed, capsys):
         # S1 + S2 overflows, the average S1/2 + S2/2 does not
@@ -497,6 +526,26 @@ class TestMalformedInput:
         bad.write_bytes(body)
         code = run(["fit", "--dataset", bad, "--r", 1, "--out", tmp_path / "x.json"])
         self.assert_input_error(code, capsys, mentions=str(bad))
+
+    @pytest.mark.parametrize("body, error", [
+        (b"f0,label\n1.0,1\n2.0,1\n3.0,1\n", "InvalidArguments"),
+        (b"f0,label\n1.0,1\n2.0,1\n3.0,2\n", "InsufficientSamples"),
+        (b"f0,label\n1.0,1\n2.0,1\n1e200,2\n-1e200,2\n", "NonFiniteInput"),
+    ], ids=["one-class", "one-sample", "overflowing-covariance"])
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_dataset_that_gives_no_pair_names_its_file(self, tmp_path, param_files, capsys,
+                                                      command, body, error):
+        bad, out = tmp_path / "bad.csv", tmp_path / "out"
+        bad.write_bytes(body)
+        if command == "fit":
+            argv = ["fit", "--dataset", bad, "--r", 1, "--out", out]
+        else:
+            write_json(tmp_path / "p.json", projection_to_dict(
+                ProjectionResult(np.eye(1), "original", "alg1", 0.0)))
+            argv = ["eval", "--projection", tmp_path / "p.json", "--dataset", bad,
+                    "--sweep-r", "1..1", "--out-dir", out]
+        self.assert_input_error(run(argv), capsys, mentions=f"{bad}: ", error=error)
+        assert not out.exists()
 
     @pytest.mark.parametrize("body", [b"", b'{"mean": [1.0, 2.', b"f0,label\n1.0,1\n", b"\xff\xfe"],
                              ids=["empty", "truncated", "csv", "not-utf8"])
@@ -1001,6 +1050,35 @@ class TestDeterminism:
             assert run(argv) == 0
         for path, payload in snapshot.items():
             assert path.read_bytes() == payload, f"{path} changed on rerun"
+
+
+    def test_twin_less_pass_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        # every *.npy deleted: the parse gives what the twins hold, so fit and eval agree
+        monkeypatch.chdir(tmp_path)
+        params = ["work/params_class1.json", "work/params_class2.json"]
+        assert run(["gen", "--d", "40", "--t", "5", "--n", "100", "--n-test", "50",
+                    "--seed", "3", "--out-dir", "work"]) == 0
+        pipeline = [
+            ["fit", "--params", *params, "--r", "2", "--refine", "--out", "work/refined.json"],
+            ["fit", "--dataset", "work/dataset.csv", "--method", "alg2", "--r", "3",
+             "--out", "work/dataset_fit.json"],
+            ["eval", "--projection", "work/refined.json", "--params", *params,
+             "--sweep-r", "1..5", "--out-dir", "work/sweep"],
+            ["eval", "--projection", "work/refined.json", "work/dataset_fit.json",
+             "--params", *params, "--classify", "--train", "work/dataset.csv",
+             "--test", "work/test.csv", "--out-dir", "work/classify"],
+        ]
+        outputs = []
+        for twins in (4, 0):
+            assert len(list(Path("work").glob("*.npy"))) == twins
+            for argv in pipeline:
+                assert run(argv) == 0
+            outputs.append({p: p.read_bytes() for p in sorted(Path("work").rglob("*"))
+                            if p.is_file() and p.suffix != ".npy"})
+            for twin in Path("work").glob("*.npy"):
+                twin.unlink()
+        assert len(outputs[0]) == 12
+        assert outputs[1] == outputs[0]
 
 
 class TestTopLevel:

@@ -1,10 +1,11 @@
-"""On-disk formats: bit-exact floats, stable JSON, record round trips, dataset twins."""
+"""On-disk formats: bit-exact floats, stable JSON, record round trips, dataset and params twins."""
 
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import time
@@ -15,7 +16,7 @@ import pytest
 
 from klproj import GaussianParams, LabeledDataset, fileio, random_class_params, sample
 from klproj import mean_first_projection, whitened_component_projection
-from klproj.errors import DimensionMismatch
+from klproj.errors import DimensionMismatch, NotPositiveDefinite
 from klproj.fileio import (
     atomic_write_text,
     dataset_from_csv,
@@ -27,8 +28,10 @@ from klproj.fileio import (
     projection_to_dict,
     read_csv,
     read_json,
+    read_params,
     write_csv,
     write_json,
+    write_params,
 )
 
 
@@ -496,8 +499,40 @@ class TestDatasetCsv:
 
 
 def _twins_of(path):
-    # named <csv name>.<64 hex digits>.npy
-    return sorted(p for p in path.parent.glob(path.name + ".*.npy") if len(p.suffixes[-2]) == 65)
+    # named <file name>.<64 hex digits>.<64 hex digits>.npy
+    twin = re.compile(re.escape(path.name) + r"\.[0-9a-f]{64}\.[0-9a-f]{64}\.npy")
+    return sorted(p for p in path.parent.iterdir() if twin.fullmatch(p.name))
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _twin_name(path, twin_bytes):
+    """The name of the twin of ``path``'s current bytes that holds ``twin_bytes``."""
+    return f"{path.name}.{_sha(path.read_bytes())}.{_sha(twin_bytes)}.npy"
+
+
+def _retwin(path, payload):
+    """Replace ``path``'s one twin by ``payload``, named by both digests, so that only the
+    reader's checks of the twin's contents stand between it and the table."""
+    (twin,) = _twins_of(path)
+    twin.unlink()
+    (path.parent / _twin_name(path, payload)).write_bytes(payload)
+
+
+def _npy(table):
+    buffer = io.BytesIO()
+    np.save(buffer, table)
+    return buffer.getvalue()
+
+
+def _flip_bit(twin, cell, bit=50):
+    """Flip one bit of float64 cell ``cell`` (row-major) of the .npy ``twin`` in place,
+    keeping its name: bit 50 sits high in the mantissa."""
+    data = bytearray(twin.read_bytes())
+    data[len(data) - np.load(twin).nbytes + 8 * cell + bit // 8] ^= 1 << (bit % 8)
+    twin.write_bytes(bytes(data))
 
 
 def _parsed(path):
@@ -522,10 +557,8 @@ class TestDatasetTwin:
         path = tmp_path / "d.csv"
         self.hard_dataset(path)
         (twin,) = _twins_of(path)
-        assert twin.name == f"d.csv.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
-        expect = io.BytesIO()
-        np.save(expect, _parsed(path))
-        assert twin.read_bytes() == expect.getvalue()
+        assert twin.name == _twin_name(path, twin.read_bytes())
+        assert twin.read_bytes() == _npy(_parsed(path))
 
     def test_read_loads_the_twin_instead_of_parsing(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
@@ -550,33 +583,30 @@ class TestDatasetTwin:
         assert table.tobytes() == _parsed(path).tobytes()
         assert len(_twins_of(path)) == 1  # the stale twin is kept, and ignored
 
-    def test_twin_of_the_wrong_width_is_refused_like_a_parse(self, tmp_path):
+    def test_flipped_bit_in_the_twin_is_parsed_not_loaded(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
         self.hard_dataset(path)
         (twin,) = _twins_of(path)
-        np.save(twin, _parsed(path)[:, 1:])
-        with pytest.raises(DimensionMismatch) as from_twin:
-            read_csv(path)
-        path.write_text("f0,f1,label\n1.0,1\n2.0,2\n")
-        with pytest.raises(DimensionMismatch) as from_parse:
-            read_csv(path)
-        assert str(from_twin.value) == str(from_parse.value) == (
-            f"{path}: header names 3 columns, rows have 2")
+        _flip_bit(twin, 6)  # row 2's first feature
+        loadtxt, parses = np.loadtxt, []
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: parses.append(1) or loadtxt(*a, **k))
+        _, table = read_csv(path)
+        assert parses == [1]
+        assert table.tobytes() == _parsed(path).tobytes()
 
-    @pytest.mark.parametrize("kind", ["not-npy", "truncated", "float32"])
+    @pytest.mark.parametrize("kind", ["not-npy", "truncated", "float32", "wrong-width"])
     def test_unreadable_twin_falls_back_to_the_parse(self, tmp_path, kind):
+        # each payload is named by its own digest, so the twin's checks alone refuse it
         path = tmp_path / "d.csv"
         self.hard_dataset(path)
         (twin,) = _twins_of(path)
-        if kind == "not-npy":
-            payload = b"not an npy file"
-        elif kind == "truncated":
-            payload = twin.read_bytes()[:-8]
-        else:
-            buffer = io.BytesIO()
-            np.save(buffer, np.zeros(_parsed(path).shape, np.float32))
-            payload = buffer.getvalue()
-        twin.write_bytes(payload)
+        payload = {
+            "not-npy": lambda: b"not an npy file",
+            "truncated": lambda: twin.read_bytes()[:-8],
+            "float32": lambda: _npy(np.zeros(_parsed(path).shape, np.float32)),
+            "wrong-width": lambda: _npy(_parsed(path)[:, 1:]),
+        }[kind]()
+        _retwin(path, payload)
         _, table = read_csv(path)
         assert table.tobytes() == _parsed(path).tobytes()
 
@@ -587,7 +617,7 @@ class TestDatasetTwin:
         copy.parent.mkdir()
         shutil.copyfile(path, copy)
         (copy.parent / "d.csv.backup.npy").write_bytes(b"")  # not named as a twin
-        monkeypatch.setattr(fileio, "_twin", _no_parse)
+        monkeypatch.setattr(fileio, "_digest", _no_parse)
         _, table = read_csv(copy)
         assert table.tobytes() == _parsed(path).tobytes()
 
@@ -610,7 +640,7 @@ class TestDatasetTwin:
         lookalike.write_bytes(b"")
         dataset_to_csv(path, LabeledDataset(np.eye(3), [1, 2, 2]))
         (twin,) = _twins_of(path)
-        assert twin.name == f"d.csv.{hashlib.sha256(path.read_bytes()).hexdigest()}.npy"
+        assert twin.name == _twin_name(path, twin.read_bytes())
         assert len(_twins_of(other)) == 1 and lookalike.exists()
         np.testing.assert_array_equal(read_csv(path)[1], [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 2]])
 
@@ -630,3 +660,93 @@ class TestDatasetTwin:
         monkeypatch.setattr(fileio, "_CSV_CELLS", 99)  # 1 row per block, the last one short
         dataset_to_csv(tmp_path / "refilled.csv", data)
         assert _twins_of(tmp_path / "refilled.csv")[0].read_bytes() == whole
+
+
+class TestParamsTwin:
+    """write_params' .npy twin: [mean; covariance] as parsed, loaded only when it verifies."""
+
+    @staticmethod
+    def params(path):
+        p = random_class_params(6, 0.1, 10.0, 1.0, 941)
+        mean = p.mean.copy()
+        mean[:5] = [0.0, -0.0, 5e-324, 1e308, -math.pi]
+        p = GaussianParams(mean, p.covariance)
+        write_params(path, p, config={"seed": 941})
+        return p
+
+    @staticmethod
+    def parsed(path):
+        return params_from_dict(read_json(path))
+
+    def test_twin_holds_the_parsed_arrays_bit_for_bit(self, tmp_path):
+        path = tmp_path / "p.json"
+        self.params(path)
+        record = read_json(path)
+        assert record["config"] == {"seed": 941}
+        (twin,) = _twins_of(path)
+        assert twin.name == _twin_name(path, twin.read_bytes())
+        table = np.vstack([np.asarray(record["mean"], float), np.asarray(record["covariance"], float)])
+        assert twin.read_bytes() == _npy(table)
+
+    def test_read_loads_the_twin_instead_of_parsing(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.json"
+        self.params(path)
+        expect = self.parsed(path)
+        monkeypatch.setattr(fileio, "read_json", _no_parse)
+        back = read_params(path)
+        assert back.mean.tobytes() == expect.mean.tobytes()
+        assert back.covariance.tobytes() == expect.covariance.tobytes()
+
+    def test_flipped_bit_in_the_twin_is_parsed_not_loaded(self, tmp_path):
+        path = tmp_path / "p.json"
+        self.params(path)
+        (twin,) = _twins_of(path)
+        _flip_bit(twin, 6 + 7)  # a diagonal covariance cell
+        back = read_params(path)
+        assert back.covariance.tobytes() == self.parsed(path).covariance.tobytes()
+        assert back.mean.tobytes() == self.parsed(path).mean.tobytes()
+
+    @pytest.mark.parametrize("kind", ["not-npy", "truncated", "float32", "square"])
+    def test_unreadable_twin_falls_back_to_the_parse(self, tmp_path, kind):
+        path = tmp_path / "p.json"
+        self.params(path)
+        (twin,) = _twins_of(path)
+        table = np.load(twin)
+        payload = {
+            "not-npy": lambda: b"not an npy file",
+            "truncated": lambda: twin.read_bytes()[:-8],
+            "float32": lambda: _npy(np.zeros(table.shape, np.float32)),
+            "square": lambda: _npy(table[1:]),  # the covariance without the mean row
+        }[kind]()
+        _retwin(path, payload)
+        back = read_params(path)
+        assert back.covariance.tobytes() == self.parsed(path).covariance.tobytes()
+
+    def test_edited_record_is_parsed_not_twinned(self, tmp_path):
+        path = tmp_path / "p.json"
+        p = self.params(path)
+        record = read_json(path)
+        record["mean"][0] = 0.25
+        write_json(path, record)  # the stale twin is kept, and ignored
+        assert len(_twins_of(path)) == 1
+        back = read_params(path)
+        assert back.mean[0] == 0.25 and back.mean[1:].tobytes() == p.mean[1:].tobytes()
+
+    def test_twin_is_validated_and_names_the_file(self, tmp_path):
+        path = tmp_path / "p.json"
+        self.params(path)
+        (twin,) = _twins_of(path)
+        table = np.load(twin)
+        table[1, 1] = -1.0  # an indefinite covariance, under verified digests
+        _retwin(path, _npy(table))
+        with pytest.raises(NotPositiveDefinite) as refused:
+            read_params(path)
+        assert str(refused.value).startswith(f"{path}: ")
+
+    def test_rewrite_keeps_one_twin_per_file(self, tmp_path):
+        path = tmp_path / "p.json"
+        self.params(path)
+        write_params(path, random_class_params(3, 0.1, 10.0, 1.0, 942))
+        (twin,) = _twins_of(path)
+        assert twin.name == _twin_name(path, twin.read_bytes())
+        assert np.load(twin).shape == (4, 3)
