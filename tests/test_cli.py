@@ -364,14 +364,17 @@ class TestFit:
 
     @pytest.mark.parametrize("source", ["dataset", "params"])
     def test_flipped_bit_in_a_twin_fits_from_the_parse(self, tmp_path, source):
-        # one high mantissa bit of a feature cell (dataset) or of a covariance cell (params)
+        # one high mantissa bit of a feature cell (dataset) or of a variance (params)
         out = gen_direct(tmp_path / "g", seed=23, n=200)
         argv = (["--dataset", out / "dataset.csv", "--method", "alg2"] if source == "dataset"
                 else ["--params", out / "params_class1.json", out / "params_class2.json"])
         proj = tmp_path / "proj.json"
         assert run(["fit", *argv, "--r", 2, "--out", proj]) == 0
         from_twin = proj.read_bytes()
-        flip_bit(twin_of(out / ("dataset.csv" if source == "dataset" else "params_class1.json")), 6)
+        if source == "dataset":
+            flip_bit(twin_of(out / "dataset.csv"), 6)  # row 1's f1
+        else:
+            flip_bit(twin_of(out / "params_class1.json"), 4)  # covariance[0, 0]
         assert run(["fit", *argv, "--r", 2, "--out", proj]) == 0
         assert proj.read_bytes() == from_twin
 
