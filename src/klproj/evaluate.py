@@ -22,7 +22,7 @@ from .gaussian import (
     project_params,
 )
 from .linalg import _as_points, check_rows
-from .projections import FITS, _ClassPair
+from .projections import FITS, _check_r, _ClassPair
 from .refine import AscentOptions, refine_fit
 
 # Divergences below this are treated as zero when forming preservation
@@ -98,7 +98,8 @@ def sweep_r(
 
     methods is any subset of the tags of ``projections.FITS`` ("alg1", "alg2",
     "lda", "lol"); "lda" yields a single direction and is only emitted at
-    r = 1.  With refine=True each closed-form result is refined by
+    r = 1.  Every r must satisfy 1 <= r <= d, and each is checked as it is
+    read, so a range far past d is refused after at most d + 1 values.  With refine=True each closed-form result is refined by
     ``refine_fit``, and its retained divergence (never below the start's) is
     added under the tag "<method>_refined".  The class pair is factored once,
     whatever the methods: every fit, every refinement and full_kld, its split
@@ -108,7 +109,8 @@ def sweep_r(
     for m in methods:
         if m not in FITS:
             raise ValueError(f"unknown method tag {m!r}; expected one of {tuple(FITS)}")
-    r_values = sorted({int(r) for r in r_values})
+    d = _check_classes(p1, p2)
+    r_values = sorted({_check_r(r, d) for r in r_values})  # each checked as it is read
     if not r_values or not methods:
         raise ValueError("need at least one method and one r value")
 

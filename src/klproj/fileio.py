@@ -314,10 +314,11 @@ def _digest(handle) -> str:
     return sha.hexdigest()
 
 
-def _twins(path: Path) -> list[tuple[Path, str, str]]:
+def _twins(path: Path, digests: int = 2) -> list[tuple[Path, ...]]:
     """The files beside ``path`` named as its twins, ``<file name>.<64 hex digits>.<64
-    hex digits>.npy``, each with the digests its name gives for the file and the twin."""
-    twin = re.compile(re.escape(path.name) + r"\.([0-9a-f]{64})\.([0-9a-f]{64})\.npy")
+    hex digits>.npy``, each with the digests its name gives for the file and the twin.
+    With ``digests=1``, the ``<file name>.<64 hex digits>.npy`` twins of older releases."""
+    twin = re.compile(re.escape(path.name) + r"\.([0-9a-f]{64})" * digests + r"\.npy")
     return [(path.parent / name, *match.groups()) for name in os.listdir(path.parent)
             if (match := twin.fullmatch(name))]
 
@@ -326,7 +327,7 @@ def _write_twin(path: Path, digest: str, shape: tuple, blocks) -> None:
     """Write the twin of the file at ``path``, whose bytes hash to ``digest``: the float64
     table of ``shape``, given as successive C-order float64 ``blocks``, as an .npy that is
     hashed while it is written and renamed into place under both digests.  The file's
-    other twins are then deleted."""
+    other twins, one-digest ones included, are then deleted."""
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(
         header, {"descr": "<f8", "fortran_order": False, "shape": shape})
@@ -336,7 +337,7 @@ def _write_twin(path: Path, digest: str, shape: tuple, blocks) -> None:
         for block in itertools.chain([header.getvalue()], blocks):
             sha.update(block)
             handle.write(block)
-    for old, *_ in _twins(path):
+    for old, *_ in _twins(path) + _twins(path, 1):
         if old != twin():
             old.unlink(missing_ok=True)
 

@@ -4,12 +4,10 @@ Everything downstream (divergence evaluation, projection construction,
 refinement) is built on the operations here: symmetric eigendecomposition
 with a deterministic ordering, the one Cholesky kernel (LAPACK potrf, in
 place when asked), SPD validation (one Cholesky; eigenvalues near the floor),
-SPD inverse square root, Cholesky whitening of a symmetric-definite pencil
-(the code a class pair in ``projections`` is factored with, once) and its
-generalized eigenvectors, row orthonormalization, and principal angles
-between row spaces.  The whitened pencil's eigenbasis stays implicit: its
-tridiagonalizing Q is kept as Householder reflectors and eigenvector columns
-are formed only when read.  Inputs are validated; factors are trusted.
+SPD inverse square root, the generalized eigenvectors of an SPD pencil (by
+LAPACK), row orthonormalization, and principal angles between row spaces.
+A class pair's whitened pencil is factored in ``projections._ClassPair``.
+Inputs are validated; factors are trusted.
 """
 
 from dataclasses import dataclass
@@ -204,73 +202,13 @@ def spd_inv_sqrt(m) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class WhitenedPencil:
-    """The pencil (B, C) of exactly symmetric B, C whitened once by the Cholesky factor C = L L^T.
-
-    ``factor`` is L (the caller's, if it holds one).  The whitened
-    W = L^-1 B L^-T (LAPACK sygst) is reduced in place to a tridiagonal
-    T = Q^T W Q (sytrd), whose eigensystem T = Z diag(lambda) Z^T (stevd)
-    gives W = U diag(lambda) U^T with U = Q Z and ``eigenvalues`` lambda
-    descending.  Q is kept as its Householder reflectors, so U is never
-    formed whole: ``columns``, ``coords`` and ``combine`` apply Q (ormqr) to
-    only what they read.  The unit generalized eigenvectors, the normalized
-    columns of L^-T U (``pencil_vectors``), are formed on demand.
-    """
-
-    def __init__(self, b, c, factor: np.ndarray | None = None):
-        self.factor = cholesky(c) if factor is None else factor
-        n = self.factor.shape[0]
-        # sygst leaves W in the lower triangle, which sytrd reduces in place;
-        # b.T is the symmetric b's Fortran view
-        w, _ = lapack.dsygst(b.T, self.factor, itype=1, lower=1)
-        lwork, _ = lapack.dsytrd_lwork(n, lower=1)
-        w, diag, off, self._tau, _ = lapack.dsytrd(w, lower=1, lwork=int(lwork), overwrite_a=1)
-        # Q = diag(1, Q'): Q' is the Q of a QR factor whose reflectors sit one row down
-        self._reflectors = np.asfortranarray(w[1:, :-1])
-        del w  # gone before stevd makes its n x n eigenvectors and workspace
-        # stevd wants a one-entry off-diagonal at n = 1
-        tri = _descending(*lapack.dstevd(diag, off if n > 1 else np.zeros(1))[:2])
-        self.eigenvalues, self._z = tri.eigenvalues, tri.eigenvectors
-
-    def _apply_q(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
-        """Q x (trans "N") or Q^T x (trans "T") for a vector or the columns of a block, as a new array."""
-        x = np.array(x, order="F")
-        block = x.reshape(x.shape[0], -1, order="F")  # a view: one ormqr for every column
-        if self._tau.size:
-            args = ("L", trans, self._reflectors, self._tau)
-            lwork = lapack.dormqr(*args, block[1:], -1)[1][0]
-            block[1:] = lapack.dormqr(*args, block[1:], int(lwork))[0]
-        return x
-
-    def columns(self, idx) -> np.ndarray:
-        """U[:, idx] = Q Z[:, idx]: eigenvectors of W, as columns."""
-        return self._apply_q(self._z[:, idx])
-
-    def coords(self, v: np.ndarray) -> np.ndarray:
-        """U^T v = Z^T Q^T v: whitened-frame vectors (a vector or d x k columns) in the eigenbasis."""
-        return self._z.T @ self._apply_q(v, "T")
-
-    def combine(self, c: np.ndarray) -> np.ndarray:
-        """U c = Q Z c: the whitened-frame vectors with eigenbasis coordinates c (a vector or columns)."""
-        return self._apply_q(self._z @ c)
-
-    def unwhiten(self, u: np.ndarray) -> np.ndarray:
-        """L^-T u: whitened-frame directions (columns) as original-frame ones."""
-        return scipy.linalg.solve_triangular(self.factor, u, lower=True, trans="T", check_finite=False)
-
-    def pencil_vectors(self, idx) -> np.ndarray:
-        """Unit generalized eigenvectors: the normalized columns of L^-T U[:, idx]."""
-        vecs = self.unwhiten(self.columns(idx))
-        return vecs / np.linalg.norm(vecs, axis=0)
-
-
 def generalized_eig(b, c) -> SymEigen:
     """Generalized eigendecomposition of the SPD pencil (B, C).
 
-    Solved by Cholesky reduction (WhitenedPencil): with C = L L^T, the
-    symmetric problem L^-1 B L^-T u = lambda u is factored and v = L^-T u is
-    renormalized to unit length.  Eigenvalues of (B, C) and (C, B) are
-    reciprocal with collinear eigenvectors.
+    Both matrices are validated, symmetrized and certified SPD, then solved by
+    LAPACK (scipy.linalg.eigh(B, C)); the eigenvectors are rescaled to unit
+    length.  Eigenvalues of (B, C) and (C, B) are reciprocal with collinear
+    eigenvectors.
     """
     b = _as_square(b, "B")
     c = _as_square(c, "C")
@@ -279,8 +217,8 @@ def generalized_eig(b, c) -> SymEigen:
     b, c = _symmetrized(b), _symmetrized(c)
     certify_spd(b, "B")
     certify_spd(c, "C")
-    pencil = WhitenedPencil(b, c)
-    return SymEigen(eigenvalues=pencil.eigenvalues, eigenvectors=pencil.pencil_vectors(slice(None)))
+    e = _descending(*scipy.linalg.eigh(b, c, check_finite=False))
+    return SymEigen(e.eigenvalues, e.eigenvectors / np.linalg.norm(e.eigenvectors, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import permutations
 
 import numpy as np
-from scipy.linalg import blas, solve_triangular
+from scipy.linalg import blas, lapack, solve_triangular
 
 from . import linalg
 from .errors import (
@@ -163,15 +163,21 @@ def _frame_value(w: np.ndarray, lam: np.ndarray, m: np.ndarray) -> tuple[float, 
     return 0.5 * (float(np.sum(rinv**2)) - len(rmat) + logdet + float(t @ t)), rinv, t
 
 
-class _ClassPair(linalg.WhitenedPencil):
+class _ClassPair:
     """A class pair factored once: the pencil (S2, S1) whitened by S1 = L L^T.
 
     L is class 1's cached ``factor``, which kld reads too.  x -> L^-1 (x - m1)
-    maps the pair to N(0, I) vs N(``whitened_mean``, L^-1 S2 L^-T).  alg1,
-    alg2 and the regime rule (``split``, ``regime``) all read the one eigendecomposition
-    U, lambda of L^-1 S2 L^-T: all of lambda and ``eig_mean``, but only the
-    columns of U they select, formed on demand from U's kept reflectors.  A
-    pair lives only as long as the call that built it.
+    maps the pair to N(0, I) vs N(``whitened_mean``, W), W = L^-1 S2 L^-T
+    (LAPACK sygst).  W is reduced in place to a tridiagonal T = Q^T W Q
+    (sytrd), whose eigensystem T = Z diag(lambda) Z^T (stevd) gives
+    W = U diag(lambda) U^T with U = Q Z and ``eigenvalues`` lambda descending.
+    alg1, alg2 and the regime rule (``split``, ``regime``) all read this one
+    eigendecomposition: all of lambda and ``eig_mean``, but only the columns of
+    U they select.  Q is kept as its Householder reflectors, so U is never
+    formed whole: ``columns``, ``coords`` and ``combine`` apply Q (ormqr) to
+    only what they read, and ``pencil_vectors``, the unit generalized
+    eigenvectors of (S2, S1), are formed on demand.  A pair lives only as long
+    as the call that built it.
 
     ``means_equal``, the one equal-means fact, holds when the Mahalanobis offset
     |whitened_mean| is below 1e-12: unit-free and affine-invariant, as KL is.
@@ -190,8 +196,19 @@ class _ClassPair(linalg.WhitenedPencil):
     """
 
     def __init__(self, p1: GaussianParams, p2: GaussianParams):
-        _check_classes(p1, p2)
-        super().__init__(p2.covariance, p1.covariance, p1.factor)
+        n = _check_classes(p1, p2)
+        self.factor = p1.factor
+        # sygst leaves W in the lower triangle, which sytrd reduces in place;
+        # S2.T is the symmetric S2's Fortran view
+        w, _ = lapack.dsygst(p2.covariance.T, self.factor, itype=1, lower=1)
+        lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+        w, diag, off, self._tau, _ = lapack.dsytrd(w, lower=1, lwork=int(lwork), overwrite_a=1)
+        # Q = diag(1, Q'): Q' is the Q of a QR factor whose reflectors sit one row down
+        self._reflectors = np.asfortranarray(w[1:, :-1])
+        del w  # gone before stevd makes its n x n eigenvectors and workspace
+        # stevd wants a one-entry off-diagonal at n = 1
+        tri = linalg._descending(*lapack.dstevd(diag, off if n > 1 else np.zeros(1))[:2])
+        self.eigenvalues, self._z = tri.eigenvalues, tri.eigenvectors
         if self.eigenvalues[-1] <= 0.0:
             raise NotPositiveDefinite(
                 "whitened class-2 covariance L^-1 S2 L^-T is not positive definite: smallest "
@@ -218,6 +235,37 @@ class _ClassPair(linalg.WhitenedPencil):
                     z = self._z[:, s:e]
                     blas.dger(-2.0 / (v @ v), z @ v, v, a=z, overwrite_a=1)
                 m[s + 1:e], m[s] = 0.0, share
+
+    def _apply_q(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Q x (trans "N") or Q^T x (trans "T") for a vector or the columns of a block, as a new array."""
+        x = np.array(x, order="F")
+        block = x.reshape(x.shape[0], -1, order="F")  # a view: one ormqr for every column
+        if self._tau.size:
+            args = ("L", trans, self._reflectors, self._tau)
+            lwork = lapack.dormqr(*args, block[1:], -1)[1][0]
+            block[1:] = lapack.dormqr(*args, block[1:], int(lwork))[0]
+        return x
+
+    def columns(self, idx) -> np.ndarray:
+        """U[:, idx] = Q Z[:, idx]: eigenvectors of W, as columns."""
+        return self._apply_q(self._z[:, idx])
+
+    def coords(self, v: np.ndarray) -> np.ndarray:
+        """U^T v = Z^T Q^T v: whitened-frame vectors (a vector or d x k columns) in the eigenbasis."""
+        return self._z.T @ self._apply_q(v, "T")
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """U c = Q Z c: the whitened-frame vectors with eigenbasis coordinates c (a vector or columns)."""
+        return self._apply_q(self._z @ c)
+
+    def unwhiten(self, u: np.ndarray) -> np.ndarray:
+        """L^-T u: whitened-frame directions (columns) as original-frame ones."""
+        return solve_triangular(self.factor, u, lower=True, trans="T", check_finite=False)
+
+    def pencil_vectors(self, idx) -> np.ndarray:
+        """Unit generalized eigenvectors: the normalized columns of L^-T U[:, idx]."""
+        vecs = self.unwhiten(self.columns(idx))
+        return vecs / np.linalg.norm(vecs, axis=0)
 
     def frame_rows(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(W, R): rows A, which read x = L U y + m1 as A L U y + A m1, as orthonormal
@@ -419,7 +467,10 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
     common covariance (the average of the supplied covariances), the rows
     are the generalized eigendirections of (S_mu, S) with nonzero
     eigenvalue.  For classes that truly share S, the K-1 such directions
-    preserve every pairwise divergence exactly.  ``achieved_kld`` totals kld
+    preserve every pairwise divergence exactly.  S_mu = C^T C, C the K
+    centered means as rows, so with S = L L^T the pencil is the thin SVD
+    L^-1 C^T = U diag(sigma) V^T (d x K): its eigenvalues are sigma^2 and its
+    directions L^-T U; no d x d matrix is whitened.  ``achieved_kld`` totals kld
     over ordered pairs of the classes, each projected once; ``component_scores``
     carries the between/within eigenvalues.
 
@@ -429,14 +480,14 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
     """
     r = _check_r(len(params) - 1 if r is None else r, _check_classes(*params))
 
-    sigma = np.mean([p.covariance for p in params], axis=0)
+    factor = linalg.cholesky(np.mean([p.covariance for p in params], axis=0))
     means = np.stack([p.mean for p in params])
     centered = means - means.mean(axis=0)
-    s_mu = centered.T @ centered
-
-    whitened = linalg.WhitenedPencil(s_mu, sigma)
-    lam = whitened.eigenvalues
-    available = int(np.count_nonzero(lam > linalg.RANK_RTOL * max(lam[0], 0.0)))
+    # S_mu = C^T C, so L^-1 S_mu L^-T = M M^T with M = L^-1 C^T (d x K): lambda = sigma^2
+    u, sv, _ = np.linalg.svd(solve_triangular(factor, centered.T, lower=True, check_finite=False),
+                             full_matrices=False)
+    lam = sv**2
+    available = int(np.count_nonzero(lam > linalg.RANK_RTOL * lam[0]))
     if available == 0:
         raise RankDeficientMeans("all class means coincide; no between-means direction exists")
 
@@ -447,7 +498,8 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
             f"{available} rows instead of {r}",
         )
         r = available
-    matrix = linalg.orthonormalize_rows(whitened.unwhiten(whitened.columns(slice(r))).T)
+    rows = solve_triangular(factor, u[:, :r], lower=True, trans="T", check_finite=False)
+    matrix = linalg.orthonormalize_rows(rows.T)
     projected = [project_params(matrix, p) for p in params]
     achieved = sum(kld(qi, qj) for qi, qj in permutations(projected, 2))
     return ProjectionResult(

@@ -1061,6 +1061,9 @@ class TestDeterminism:
         params = ["work/params_class1.json", "work/params_class2.json"]
         assert run(["gen", "--d", "40", "--t", "5", "--n", "100", "--n-test", "50",
                     "--seed", "3", "--out-dir", "work"]) == 0
+        assert run(["gen", "--d", "40", "--classes", "3", "--seed", "3",
+                    "--out-dir", "work/three"]) == 0
+        three = [f"work/three/params_class{k}.json" for k in (1, 2, 3)]
         pipeline = [
             ["fit", "--params", *params, "--r", "2", "--refine", "--out", "work/refined.json"],
             ["fit", "--dataset", "work/dataset.csv", "--method", "alg2", "--r", "3",
@@ -1070,17 +1073,18 @@ class TestDeterminism:
             ["eval", "--projection", "work/refined.json", "work/dataset_fit.json",
              "--params", *params, "--classify", "--train", "work/dataset.csv",
              "--test", "work/test.csv", "--out-dir", "work/classify"],
+            ["fit", "--params", *three, "--method", "mclda", "--out", "work/mclda.json"],
         ]
         outputs = []
-        for twins in (4, 0):
-            assert len(list(Path("work").glob("*.npy"))) == twins
+        for twins in (7, 0):
+            assert len(list(Path("work").rglob("*.npy"))) == twins
             for argv in pipeline:
                 assert run(argv) == 0
             outputs.append({p: p.read_bytes() for p in sorted(Path("work").rglob("*"))
                             if p.is_file() and p.suffix != ".npy"})
-            for twin in Path("work").glob("*.npy"):
+            for twin in Path("work").rglob("*.npy"):
                 twin.unlink()
-        assert len(outputs[0]) == 12
+        assert len(outputs[0]) == 16
         assert outputs[1] == outputs[0]
 
 

@@ -62,6 +62,22 @@ class TestSweepR:
         p1, p2 = two_classes(511)
         table = sweep_r(p1, p2, ["lda"], [1, 2, 4])
         assert [(m, r) for m, r, _ in table.rows] == [("lda", 1)]
+        # past d, lda's r is refused like every other method's
+        with pytest.raises(DimensionMismatch, match=r"r=6 must satisfy 1 <= r <= 5"):
+            sweep_r(p1, p2, ["lda"], [1, 6])
+
+    def test_each_r_is_checked_as_it_is_read(self):
+        p1, p2 = two_classes(571)
+        read = []
+
+        def counted():
+            for r in range(1, 10**6):
+                read.append(r)
+                yield r
+
+        with pytest.raises(DimensionMismatch, match=r"r=6 must satisfy 1 <= r <= 5"):
+            sweep_r(p1, p2, ["alg1"], counted())
+        assert len(read) <= p1.dim + 1
 
     def test_refined_rows_tagged(self):
         p1, p2 = two_classes(521, d=4)

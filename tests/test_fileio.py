@@ -644,6 +644,19 @@ class TestDatasetTwin:
         assert len(_twins_of(other)) == 1 and lookalike.exists()
         np.testing.assert_array_equal(read_csv(path)[1], [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 2]])
 
+    def test_rewrite_deletes_a_one_digest_twin(self, tmp_path):
+        # <file name>.<sha256 of the file>.npy, the name earlier releases gave a twin
+        path = tmp_path / "d.csv"
+        self.hard_dataset(path)
+        (twin,) = _twins_of(path)
+        old = tmp_path / f"d.csv.{_sha(path.read_bytes())}.npy"
+        twin.rename(old)
+        lookalike = tmp_path / f"e.csv.{_sha(b'')}.npy"
+        lookalike.write_bytes(b"")
+        self.hard_dataset(path)
+        assert not old.exists() and lookalike.exists()
+        assert [p.name for p in _twins_of(path)] == [twin.name]
+
     def test_twin_is_built_from_row_blocks(self, tmp_path, monkeypatch):
         # 4000 x 51 cells: an n x (d+1) staging table would take 1.6 MB on top of the dataset
         n, d = 4000, 50

@@ -8,9 +8,9 @@ import pytest
 import scipy.linalg
 
 from klproj.errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite, RankDeficient
+from klproj.gaussian import GaussianParams
 from klproj.linalg import (
     SPD_RTOL,
-    WhitenedPencil,
     _symmetrized,
     assert_spd,
     cholesky,
@@ -22,6 +22,7 @@ from klproj.linalg import (
     spd_inv_sqrt,
     sym_eig,
 )
+from klproj.projections import _ClassPair
 
 
 def rand_spd(rng, d, lo=0.5, hi=3.0):
@@ -165,14 +166,20 @@ def whitened(b, c):
     return (w + w.T) / 2.0
 
 
+def zero_mean_pair(b, c):
+    """The class pair of N(0, C) and N(0, B): the plain pencil (B, C), no cluster touched."""
+    d = len(c)
+    return _ClassPair(GaussianParams(np.zeros(d), c), GaussianParams(np.zeros(d), b))
+
+
 class TestImplicitEigenbasis:
-    """WhitenedPencil's reflector-kept eigenbasis against eigh of the whitened matrix."""
+    """The class pair's reflector-kept eigenbasis against eigh of the whitened matrix."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 50])
     def test_matches_eigh_up_to_column_sign(self, d):
         rng = np.random.default_rng(40 + d)
         b, c = rand_spd(rng, d, 0.5, 20.0), rand_spd(rng, d)
-        pencil = WhitenedPencil(b, c)
+        pencil = zero_mean_pair(b, c)
         w, u = np.linalg.eigh(whitened(b, c))
         lam, u = w[::-1], u[:, ::-1]
         np.testing.assert_allclose(pencil.eigenvalues, lam, rtol=1e-13)
@@ -193,7 +200,7 @@ class TestImplicitEigenbasis:
         # every eigenvalue is `factor`: any orthonormal basis is an eigenbasis
         rng = np.random.default_rng(17)
         c = rand_spd(rng, 30)
-        pencil = WhitenedPencil(factor * c, c)
+        pencil = zero_mean_pair(factor * c, c)
         w = whitened(factor * c, c)
         u = pencil.columns(slice(None))
         np.testing.assert_allclose(u.T @ u, np.eye(30), atol=1e-13)
@@ -205,10 +212,11 @@ class TestImplicitEigenbasis:
         d = 300
         rng = np.random.default_rng(5)
         b, c = rand_spd(rng, d, 0.5, 20.0), rand_spd(rng, d)
-        factor = cholesky(c)
+        p1, p2 = GaussianParams(np.zeros(d), c), GaussianParams(np.zeros(d), b)
+        p1.factor  # the pair reads class 1's cached factor
         tracemalloc.start()
         try:
-            WhitenedPencil(b, c, factor)
+            _ClassPair(p1, p2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -329,6 +329,25 @@ class TestMulticlassLda:
             pairs = [(pi, pj) for pi in params for pj in params if pi is not pj]
             assert res.achieved_kld == sum(kld_projected(res.matrix, *pair) for pair in pairs)
 
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("collinear", [False, True])
+    def test_scores_and_rows_match_eigh_of_the_pencil(self, k, collinear):
+        # the reference forms S_mu and solves (S_mu, S) by LAPACK's generalized eigh
+        d, rng = 30, np.random.default_rng(160 + k + 10 * collinear)
+        covs = [random_spd(SpdSpec(d, 0.1, 10.0, 170 + 10 * k + i)) for i in range(k)]
+        if collinear:
+            base, step = rng.standard_normal((2, d))
+            means = [base + t * step for t in rng.standard_normal(k)]
+        else:
+            means = list(rng.standard_normal((k, d)))
+        params = [GaussianParams(mu, cov) for mu, cov in zip(means, covs)]
+        res = multiclass_lda(params)
+        assert res.r == (1 if collinear else k - 1) and bool(res.warnings) == collinear
+        centered = np.stack(means) - np.mean(means, axis=0)
+        w, v = scipy.linalg.eigh(centered.T @ centered, np.mean(covs, axis=0))
+        np.testing.assert_allclose(res.component_scores, w[::-1][: res.r], rtol=1e-10)
+        assert principal_angles(res.matrix, v[:, ::-1][:, : res.r].T).max() < 1e-10
+
     def test_shared_covariance_preserves_every_pair(self):
         rng = np.random.default_rng(141)
         sigma = random_class_params(4, 0.5, 3.0, 1.0, 151).covariance
@@ -690,13 +709,13 @@ class TestPencilCandidates:
 
     def test_unwhitens_only_the_columns_read(self, monkeypatch):
         p1, p2 = channel_pair()
-        widths, unwhiten = [], projections.linalg.WhitenedPencil.unwhiten
+        widths, unwhiten = [], _ClassPair.unwhiten
 
         def recorded(self, u):
             widths.append(1 if np.ndim(u) == 1 else np.shape(u)[1])
             return unwhiten(self, u)
 
-        monkeypatch.setattr(projections.linalg.WhitenedPencil, "unwhiten", recorded)
+        monkeypatch.setattr(_ClassPair, "unwhiten", recorded)
         for r in (1, 2, 4):
             widths.clear()
             mean_first_projection(p1, p2, r)
@@ -788,7 +807,8 @@ class TestRepeatedEigenvalues:
         # the channel pair's noise cluster at lambda = 1 carries only rounding of the mean
         p1, p2 = channel_pair()
         pair = _ClassPair(p1, p2)
-        plain = linalg.WhitenedPencil(p2.covariance, p1.covariance, p1.factor)
+        zero = np.zeros(p1.dim)
+        plain = _ClassPair(GaussianParams(zero, p1.covariance), GaussianParams(zero, p2.covariance))
         assert np.array_equal(pair.eigenvalues, plain.eigenvalues)
         assert np.array_equal(pair.columns(slice(None)), plain.columns(slice(None)))
 
