@@ -99,11 +99,12 @@ def sweep_r(
     methods is any subset of the tags of ``projections.FITS`` ("alg1", "alg2",
     "lda", "lol"); "lda" yields a single direction and is only emitted at
     r = 1.  Every r must satisfy 1 <= r <= d, and each is checked as it is
-    read, so a range far past d is refused after at most d + 1 values.  With refine=True each closed-form result is refined by
-    ``refine_fit``, and its retained divergence (never below the start's) is
-    added under the tag "<method>_refined".  The class pair is factored once,
-    whatever the methods: every fit, every refinement and full_kld, its split
-    total, read that one pair.  The table is validated before it is returned.
+    read, so a range far past d is refused after at most d + 1 values.  With
+    refine=True each closed-form result is refined by ``refine_fit``, and its
+    retained divergence (never below the start's) is added under the tag
+    "<method>_refined".  The class pair is factored once, whatever the
+    methods: every fit, every refinement and full_kld, its split total, read
+    that one pair.  The table is validated before it is returned.
     """
     methods = sorted(set(methods))
     for m in methods:

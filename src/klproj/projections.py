@@ -483,7 +483,6 @@ def multiclass_lda(params: list[GaussianParams], r: int | None = None) -> Projec
     factor = linalg.cholesky(np.mean([p.covariance for p in params], axis=0))
     means = np.stack([p.mean for p in params])
     centered = means - means.mean(axis=0)
-    # S_mu = C^T C, so L^-1 S_mu L^-T = M M^T with M = L^-1 C^T (d x K): lambda = sigma^2
     u, sv, _ = np.linalg.svd(solve_triangular(factor, centered.T, lower=True, check_finite=False),
                              full_matrices=False)
     lam = sv**2
